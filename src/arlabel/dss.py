@@ -1,13 +1,22 @@
 """Distinct-subset-sum (DSS) primitives.
 
 A set of positive integers is DSS when all 2^n of its subset sums are
-pairwise distinct (the empty subset contributes sum 0).  Achievable sums of
-a partial set are kept as a bitmap packed into a single Python int: bit s is
-set iff some subset sums to s.  Adding an element a maps the occupancy
-``bits`` to ``bits | (bits << a)``, and the extension preserves distinctness
-iff the two halves do not overlap.  This costs O(n * total) bit operations
-instead of 2^n sum enumeration, which is what makes the check usable inside
-solver inner loops.
+pairwise distinct (the empty subset contributes sum 0).  Two bitmap
+encodings, each packed into a single Python int, make the check cheap:
+
+* **Occupancy** (one-shot checks): bit s is set iff some subset sums to s.
+  Adding an element a maps ``bits`` to ``bits | (bits << a)``, and the
+  extension keeps the sums distinct iff the two halves do not overlap.
+  This costs O(n * total) bit operations instead of 2^n sum enumeration.
+* **Difference mask** (search kernels): bit ``off + d`` is set iff d is a
+  difference of two subset sums, negative d included, so ``off`` must be
+  at least the largest total the set can reach.  The empty set's mask is
+  ``1 << off``; adding a maps ``z`` to ``z | z << a | z >> a``.  A label a
+  may join the set iff bit ``off + a`` is clear, because the new sums
+  s + a avoid every old sum t exactly when a is not t - s.  The labels
+  legal at once are the clear bits of ``z >> off``, so the edge search and
+  the ES search screen all candidates of a node with one AND instead of
+  one shift-and-test per label.
 """
 
 from __future__ import annotations
@@ -144,6 +153,21 @@ def sum_bitset(elements: Iterable[int]) -> SumBitset:
 def can_extend(occupancy: SumBitset, label: int) -> bool:
     """Incremental DSS test: may ``label`` join the set behind ``occupancy``?"""
     return occupancy.can_extend(label)
+
+
+def difference_mask(elements: Iterable[int], off: int) -> int:
+    """Difference mask of ``elements`` at offset ``off`` (module docstring).
+
+    ``off`` must be at least the sum of the elements, or negative
+    differences would fall off the low end of the mask.
+    """
+    elems = tuple(elements)
+    if sum(elems) > off:
+        raise ValueError(f"offset {off} is below the element sum {sum(elems)}")
+    z = 1 << off
+    for a in elems:
+        z |= z << a | z >> a
+    return z
 
 
 def enumerate_dss_sets(size: int, cap: int) -> list[DssSet]:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .dss import MAX_TOTAL, DssSet, is_dss
+from .dss import MAX_TOTAL, DssSet, difference_mask, is_dss
 
 COMPUTED = "computed"
 KNOWN = "known"
@@ -125,36 +125,42 @@ def _witness_with_max(
     """An n-element DSS subset of {1..x} containing x, or None.
 
     Depth-first over elements in decreasing order, larger candidates first.
-    Prunes: incremental occupancy test; prefix bound (the element chosen with
-    rem still to pick is the rem-th smallest, hence >= ES(rem)); total-sum
-    bound (2^n distinct sums fit in [0, total] only if total >= 2^n - 1).
+    Candidates at a node are one mask: the range left by the prefix bound
+    (the element chosen with rem still to pick is the rem-th smallest, hence
+    >= ES(rem)) and the total-sum bound (2^n distinct sums fit in
+    [0, total] only if total >= 2^n - 1), minus the labels the chosen
+    elements' difference mask rules out (see the dss module docstring).
     """
     if n == 1:
         return (x,)
     target = (1 << n) - 1
+    off = n * x  # no n distinct elements of {1..x} sum to more
     nodes = 0
     monotonic = time.monotonic
 
-    def down(bits: int, hi: int, rem: int, total: int) -> tuple[int, ...] | None:
+    def down(z: int, hi: int, rem: int, total: int) -> tuple[int, ...] | None:
         nonlocal nodes
-        lo = floors[rem]
-        for a in range(hi, lo - 1, -1):
-            if total + rem * a - rem * (rem - 1) // 2 < target:
-                break  # smaller a only lowers the achievable total
+        # With a the largest of the rem elements still to pick, the total
+        # reaches at most total + rem*a - rem*(rem-1)/2.
+        amin = -(-(target - total + rem * (rem - 1) // 2) // rem)
+        lo = max(floors[rem], amin)
+        if lo > hi:
+            return None
+        cand = ((1 << (hi + 1)) - (1 << lo)) & ~(z >> off)
+        while cand:
+            a = cand.bit_length() - 1
+            cand ^= 1 << a
             nodes += 1
             if nodes & 1023 == 0 and monotonic() > deadline:
                 raise _SearchTimeout
-            shifted = bits << a
-            if bits & shifted:
-                continue
             if rem == 1:
                 return (a,)
-            rest = down(bits | shifted, a - 1, rem - 1, total + a)
+            rest = down(z | z << a | z >> a, a - 1, rem - 1, total + a)
             if rest is not None:
                 return rest + (a,)
         return None
 
-    tail = down((1 << x) | 1, x - 1, n - 1, x)
+    tail = down(difference_mask((x,), off), x - 1, n - 1, x)
     return None if tail is None else tail + (x,)
 
 

@@ -3,10 +3,14 @@ special-purpose constructions (bipartite disjoint covers, wheel labelings,
 embedding into an AR-supergraph).
 
 The decision core is ``find_ar_labeling``: backtracking over edges ordered by
-decreasing endpoint-degree sum, assigning labels in ascending order, and
-maintaining one subset-sum occupancy bitmap per vertex so that every
-assignment is screened by the incremental DSS test at both endpoints.  A
-completed assignment is therefore an AR-labeling by construction; an
+decreasing endpoint-degree sum, trying labels in ascending order.  Each
+vertex keeps a difference mask of its labels' subset sums (see the dss
+module docstring), so the labels legal at both endpoints of an edge come
+from one AND of the free labels against the two masks.  A forward check then
+skips a label that leaves an endpoint fewer legal free labels than it has
+unlabeled edges.  Both cuts remove only subtrees without a labeling, so the
+first witness is the one a plain 1..k scan would find.  A completed
+assignment is an AR-labeling by construction (and is re-verified); an
 exhausted search is a refutation certificate for that label budget.
 """
 
@@ -51,12 +55,14 @@ class SearchConfig:
 class SearchStats:
     nodes: int = 0
     occupancy_prunes: int = 0
+    forward_prunes: int = 0
     counting_refuted: bool = False
 
     def as_dict(self) -> dict:
         return {
             "nodes": self.nodes,
             "occupancy_prunes": self.occupancy_prunes,
+            "forward_prunes": self.forward_prunes,
             "counting_refuted": self.counting_refuted,
         }
 
@@ -134,6 +140,7 @@ def find_ar_labeling(
     k: int,
     cfg: SearchConfig | None = None,
     *,
+    fixed: dict[int, int] | None = None,
     _require_label_k: bool = False,
 ) -> SearchOutcome:
     """Search for an AR-labeling of g with distinct labels from {1..k}.
@@ -141,6 +148,11 @@ def find_ar_labeling(
     Returns the first labeling under the deterministic order, or an
     exhausted refutation, or a timeout (``exhausted`` False).  k smaller than
     the edge count is immediately infeasible (injectivity), not an error.
+
+    ``fixed`` maps edge indices to labels every witness must carry; the
+    search completes the other edges around them.  An edge index out of
+    range, a label outside 1..k or a repeated label raises ValueError; fixed
+    labels that already break DSS at some vertex give an exhausted refutation.
 
     ``_require_label_k`` marks that any witness must use label k (true while
     iteratively deepening, where k-1 is already refuted); combined with an
@@ -151,6 +163,14 @@ def find_ar_labeling(
     if k < 1:
         raise ValueError("k must be positive")
     m = g.edge_count()
+    fixed = fixed or {}
+    for e, lab in fixed.items():
+        if not 0 <= e < m:
+            raise ValueError(f"fixed edge index {e} is out of range for {m} edges")
+        if not 1 <= lab <= k:
+            raise ValueError(f"fixed label {lab} on edge {e} is outside 1..{k}")
+    if len(set(fixed.values())) != len(fixed):
+        raise ValueError("fixed labels repeat a label")
     stats = SearchStats()
     if m == 0:
         return SearchOutcome(Labeling(()), True, stats)
@@ -163,64 +183,97 @@ def find_ar_labeling(
         return SearchOutcome(None, True, stats)
 
     order = _search_order(g)
-    ordered_edges = [g.edges[e] for e in order]
-    occ = [1] * g.vertex_count
-    assigned = [0] * m
+    # Pinning label k to the first search edge is sound on an edge-transitive
+    # graph once some edge must carry k: either the deepening context says so
+    # (k-1 already refuted) or k == m forces a bijection.  Other fixed labels
+    # break the symmetry the pin relies on.
+    if not fixed and cfg.symmetry_breaking and g.edge_transitive and (_require_label_k or k == m):
+        fixed = {order[0]: k}
+
+    # Difference masks (see the dss module docstring): off covers the
+    # largest subset sum any vertex can reach.
+    off = k * g.max_degree()
+    z = [1 << off] * g.vertex_count
     used = 0
+    for e, lab in fixed.items():
+        u, v = g.edges[e]
+        if (z[u] | z[v]) >> (off + lab) & 1:
+            return SearchOutcome(None, True, stats)
+        z[u] |= z[u] << lab | z[u] >> lab
+        z[v] |= z[v] << lab | z[v] >> lab
+        used |= 1 << lab
+    full = (1 << (k + 1)) - 2  # labels 1..k
+
+    # One step per free edge: its endpoints and how many free edges each
+    # endpoint still has after this one, for the forward check.
+    free_edges = [e for e in order if e not in fixed]
+    left = [0] * g.vertex_count
+    steps = []
+    for e in reversed(free_edges):
+        u, v = g.edges[e]
+        steps.append((u, v, left[u], left[v]))
+        left[u] += 1
+        left[v] += 1
+    steps.reverse()
+    depth = len(steps)
+    assigned = [0] * depth
     deadline = time.monotonic() + cfg.budget_s
     monotonic = time.monotonic
 
-    # Pinning label k to the first search edge is sound on an edge-transitive
-    # graph once some edge must carry k: either the deepening context says so
-    # (k-1 already refuted) or k == m forces a bijection.
-    fix_first = (
-        cfg.symmetry_breaking
-        and g.edge_transitive
-        and (_require_label_k or k == m)
-    )
-
-    def dfs(i: int) -> bool:
-        nonlocal used
-        if i == m:
+    def dfs(i: int, used: int) -> bool:
+        if i == depth:
             return True
         stats.nodes += 1
         if stats.nodes & 1023 == 0 and monotonic() > deadline:
             raise SearchTimeout
-        u, v = ordered_edges[i]
-        ou = occ[u]
-        ov = occ[v]
-        candidates = (k,) if (i == 0 and fix_first) else range(1, k + 1)
-        for lab in candidates:
-            if (used >> lab) & 1:
+        u, v, ru, rv = steps[i]
+        zu = z[u]
+        zv = z[v]
+        free = full & ~used
+        blocked = free & ((zu | zv) >> off)
+        cand = free ^ blocked
+        spare = free.bit_count() - 1  # labels left free once one is taken
+        # Lowest label first: the order of a 1..k scan.
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            lab = low.bit_length() - 1
+            rest = free ^ low
+            # Forward check: an endpoint with r free edges left needs r
+            # distinct labels still legal there.  Legal sets only shrink
+            # deeper in the branch, so a failing label roots a dead subtree.
+            nzu = zu | zu << lab | zu >> lab
+            if ru and spare - (rest & (nzu >> off)).bit_count() < ru:
+                stats.forward_prunes += 1
                 continue
-            su = ou << lab
-            if ou & su:
-                stats.occupancy_prunes += 1
+            nzv = zv | zv << lab | zv >> lab
+            if rv and spare - (rest & (nzv >> off)).bit_count() < rv:
+                stats.forward_prunes += 1
                 continue
-            sv = ov << lab
-            if ov & sv:
-                stats.occupancy_prunes += 1
-                continue
-            occ[u] = ou | su
-            occ[v] = ov | sv
-            used |= 1 << lab
+            z[u] = nzu
+            z[v] = nzv
             assigned[i] = lab
-            if dfs(i + 1):
+            if dfs(i + 1, used | low):
+                # The scan stopped at lab: only the blocked labels below it
+                # were tested.
+                stats.occupancy_prunes += (blocked & (low - 1)).bit_count()
                 return True
-            occ[u] = ou
-            occ[v] = ov
-            used &= ~(1 << lab)
+            z[u] = zu
+            z[v] = zv
+        stats.occupancy_prunes += blocked.bit_count()
         return False
 
     try:
-        found = dfs(0)
+        found = dfs(0, used)
     except SearchTimeout:
         return SearchOutcome(None, False, stats)
     if not found:
         return SearchOutcome(None, True, stats)
     labels = [0] * m
-    for pos, e in enumerate(order):
-        labels[e] = assigned[pos]
+    for e, lab in fixed.items():
+        labels[e] = lab
+    for e, lab in zip(free_edges, assigned):
+        labels[e] = lab
     labeling = Labeling(tuple(labels))
     verdict = is_ar_labeling(g, labeling)
     if not verdict.ok:  # pragma: no cover - solver invariant
@@ -257,6 +310,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         outcome = find_ar_labeling(g, k, step_cfg, _require_label_k=True)
         total.nodes += outcome.stats.nodes
         total.occupancy_prunes += outcome.stats.occupancy_prunes
+        total.forward_prunes += outcome.stats.forward_prunes
         if outcome.labeling is not None:
             return AriResult(g, EXACT, k, k, outcome.labeling, total)
         if not outcome.exhausted:
@@ -409,6 +463,7 @@ def _label_wheel_constructive(
     for i, lab in enumerate(spokes, start=1):
         place(0, i, lab)
     used = set(spokes)
+    spoke_labels = dict(labels)
 
     rim = _wheel_rim_edges(n)
     L = n - 1
@@ -441,63 +496,17 @@ def _label_wheel_constructive(
         logger.warning(
             "greedy rim fill failed for W_%d; falling back to rim backtracking", n
         )
-        return _label_wheel_rim_backtrack(g, n, k, spokes, cfg)
-    ordered = tuple(labels[i] for i in range(g.edge_count()))
-    return Labeling(ordered)
-
-
-def _label_wheel_rim_backtrack(
-    g: Graph, n: int, k: int, spokes: list[int], cfg: SearchConfig
-) -> Labeling:
-    """Complete search over rim labels with the spokes pinned to the witness."""
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    occ = [1] * g.vertex_count
-    labels: dict[int, int] = {}
-    for i, lab in enumerate(spokes, start=1):
-        e = edge_index[(0, i)]
-        labels[e] = lab
-        occ[0] |= occ[0] << lab
-        occ[i] |= occ[i] << lab
-    used = 0
-    for lab in spokes:
-        used |= 1 << lab
-    rim = _wheel_rim_edges(n)
-    deadline = time.monotonic() + cfg.budget_s
-
-    def dfs(i: int) -> bool:
-        nonlocal used
-        if i == len(rim):
-            return True
-        if time.monotonic() > deadline:
+        outcome = find_ar_labeling(g, k, cfg, fixed=spoke_labels)
+        if outcome.labeling is not None:
+            return outcome.labeling
+        if not outcome.exhausted:
             raise SearchTimeout(f"wheel W_{n} rim search did not finish in budget")
-        u, v = rim[i]
-        ou, ov = occ[u], occ[v]
-        for lab in range(1, k + 1):
-            if (used >> lab) & 1:
-                continue
-            su = ou << lab
-            if ou & su:
-                continue
-            sv = ov << lab
-            if ov & sv:
-                continue
-            occ[u] = ou | su
-            occ[v] = ov | sv
-            used |= 1 << lab
-            labels[edge_index[(min(u, v), max(u, v))]] = lab
-            if dfs(i + 1):
-                return True
-            occ[u] = ou
-            occ[v] = ov
-            used &= ~(1 << lab)
-        return False
-
-    if not dfs(0):
         raise RuntimeError(
             f"internal: rim backtracking found no completion for W_{n} with the "
             f"Conway-Guy spokes; construction evidence should be revisited"
         )
-    return Labeling(tuple(labels[i] for i in range(g.edge_count())))
+    ordered = tuple(labels[i] for i in range(g.edge_count()))
+    return Labeling(ordered)
 
 
 def embed_in_ar_graph(

@@ -1,9 +1,11 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the package's bitset machinery: subset sums are
+Most of them avoid the package's bitset machinery: subset sums are
 materialized into hash sets, and the brute-force AR-index search assigns
 labels in plain canonical edge order.  They are slow and obviously correct,
-which is the point.
+which is the point.  ``reference_find_ar_labeling`` is the solver's first,
+plain scan-and-test edge search, kept so that the pruned search can be
+required to return the very same first witness.
 """
 
 from __future__ import annotations
@@ -79,6 +81,44 @@ def naive_ari(g: Graph, k_cap: int = 40) -> int | None:
         if dfs(0, frozenset()):
             return k
     return None
+
+
+def reference_find_ar_labeling(g: Graph, k: int) -> tuple[tuple[int, ...] | None, bool]:
+    """The edge search as first written: the solver's edge order (decreasing
+    endpoint-degree sum, then edge index), labels scanned 1..k, one
+    subset-sum occupancy bitmap per vertex, no other prune.  Returns the
+    first labeling in that order, or None, and True for an exhausted search
+    (it has no budget, so always True)."""
+    m = g.edge_count()
+    if k < m:
+        return None, True
+    deg = [g.degree(v) for v in range(g.vertex_count)]
+    order = sorted(range(m), key=lambda e: (-(deg[g.edges[e][0]] + deg[g.edges[e][1]]), e))
+    occ = [1] * g.vertex_count
+    assigned = [0] * m
+
+    def dfs(i: int, used: int) -> bool:
+        if i == m:
+            return True
+        u, v = g.edges[order[i]]
+        ou, ov = occ[u], occ[v]
+        for lab in range(1, k + 1):
+            if (used >> lab) & 1 or ou & (ou << lab) or ov & (ov << lab):
+                continue
+            occ[u] = ou | (ou << lab)
+            occ[v] = ov | (ov << lab)
+            assigned[i] = lab
+            if dfs(i + 1, used | (1 << lab)):
+                return True
+            occ[u], occ[v] = ou, ov
+        return False
+
+    if not dfs(0, 0):
+        return None, True
+    labels = [0] * m
+    for pos, e in enumerate(order):
+        labels[e] = assigned[pos]
+    return tuple(labels), True
 
 
 def small_family_graphs(max_edges: int = 6, include_slow: bool = True) -> list[Graph]:

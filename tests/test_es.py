@@ -132,6 +132,20 @@ class TestEsSearch:
         values = [es(n, budget_s=30).value for n in range(1, 7)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_first_witnesses_pinned(self):
+        # The first witness in search order, which pruning must not move.
+        expected = {
+            1: (1,),
+            2: (1, 2),
+            3: (2, 3, 4),
+            4: (3, 5, 6, 7),
+            5: (6, 9, 11, 12, 13),
+            6: (11, 17, 20, 22, 23, 24),
+            7: (20, 31, 37, 40, 42, 43, 44),
+        }
+        for n, witness in expected.items():
+            assert es(n, budget_s=60).witness.elements == witness
+
     def test_deterministic_witness(self):
         a = es(5, budget_s=30)
         b = es(5, budget_s=30)

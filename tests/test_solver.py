@@ -14,6 +14,7 @@ from arlabel.graphs import (
     complete,
     complete_bipartite,
     complete_multipartite,
+    cycle,
     path,
     star,
     wheel,
@@ -32,7 +33,7 @@ from arlabel.solver import (
     is_ar_graph,
     label_wheel,
 )
-from conftest import naive_ari, naive_is_dss, small_family_graphs
+from conftest import naive_ari, naive_is_dss, reference_find_ar_labeling, small_family_graphs
 
 FAST = SearchConfig(budget_s=30)
 
@@ -96,6 +97,7 @@ class TestFindArLabeling:
     def test_bistar33_refuted_at_seven(self):
         outcome = find_ar_labeling(bistar(3, 3), 7, FAST)
         assert outcome.labeling is None and outcome.exhausted
+        assert outcome.stats.forward_prunes > 0
 
     def test_bistar33_found_at_eight(self):
         outcome = find_ar_labeling(bistar(3, 3), 8, FAST)
@@ -134,6 +136,41 @@ class TestFindArLabeling:
         a = find_ar_labeling(complete(4), 6, FAST)
         b = find_ar_labeling(complete(4), 6, FAST)
         assert a.labeling == b.labeling
+
+    def test_same_first_witness_as_plain_scan(self):
+        # Masks and the forward check cut only dead subtrees, so the first
+        # witness (or the refutation) is the plain 1..k scan's.
+        graphs = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
+        graphs += [star(n) for n in range(1, 6)]
+        graphs += [complete(4), complete(5), complete_bipartite(2, 3), complete_bipartite(3, 3)]
+        graphs += [bistar(3, 3), wheel(5), wheel(6)]
+        for g in graphs:
+            m = g.edge_count()
+            for k in range(m, m + 5):
+                out = find_ar_labeling(g, k, FAST)
+                got = (None if out.labeling is None else out.labeling.labels, out.exhausted)
+                assert got == reference_find_ar_labeling(g, k), (g.name, k)
+
+
+class TestFixedLabels:
+    def test_fixed_labels_kept_in_witness(self):
+        g = bistar(3, 3)
+        out = find_ar_labeling(g, 8, FAST, fixed={0: 8, 3: 1})
+        assert out.labeling is not None
+        assert out.labeling.labels[0] == 8 and out.labeling.labels[3] == 1
+        assert is_ar_labeling(g, out.labeling).ok
+
+    def test_fixed_labels_breaking_dss_refute(self):
+        # 1 + 2 = 3 at the center of the star
+        out = find_ar_labeling(star(4), 13, FAST, fixed={0: 1, 1: 2, 2: 3})
+        assert out.labeling is None and out.exhausted
+        assert out.stats.nodes == 0
+
+    def test_bad_fixed_rejected(self):
+        g = path(4)
+        for fixed in ({3: 1}, {-1: 1}, {0: 0}, {0: 5}, {0: 2, 2: 2}):
+            with pytest.raises(ValueError):
+                find_ar_labeling(g, 4, FAST, fixed=fixed)
 
 
 class TestAri:
@@ -299,15 +336,19 @@ class TestLabelWheel:
         assert max(hub_labels) == KNOWN_ES[8]
 
     def test_rim_backtracking_fallback_completes(self):
-        # the fallback behind the greedy fill must stand on its own
+        # the fallback behind the greedy fill, a search with the spokes
+        # fixed, must stand on its own
         from arlabel.es import conway_guy_set
-        from arlabel.solver import _label_wheel_rim_backtrack
 
         for n in (8, 9):
+            g = wheel(n)
             spokes = sorted(conway_guy_set(n - 1).elements)
-            labeling = _label_wheel_rim_backtrack(wheel(n), n, KNOWN_ES[n - 1], spokes, FAST)
+            fixed = {g.edges.index((0, i)): lab for i, lab in enumerate(spokes, start=1)}
+            out = find_ar_labeling(g, KNOWN_ES[n - 1], FAST, fixed=fixed)
+            labeling = out.labeling
             assert is_ar_labeling(wheel(n), labeling).ok
             assert max(labeling.labels) == KNOWN_ES[n - 1]
+            assert out.stats.nodes == n - 1  # one node per rim edge
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
