@@ -7,11 +7,13 @@ decreasing endpoint-degree sum, trying labels in ascending order.  Each
 vertex keeps a difference mask of its labels' subset sums (see the dss
 module docstring), so the labels legal at both endpoints of an edge come
 from one AND of the free labels against the two masks.  A forward check then
-skips a label that leaves an endpoint fewer legal free labels than it has
-unlabeled edges.  Both cuts remove only subtrees without a labeling, so the
-first witness is the one a plain 1..k scan would find.  A completed
-assignment is an AR-labeling by construction (and is re-verified); an
-exhausted search is a refutation certificate for that label budget.
+skips a label after which an endpoint with r unlabeled edges has no r free
+labels that are DSS together with its labels so far (``can_complete``, an
+exact search on the endpoint's mask).  Both cuts remove only subtrees
+without a labeling, so the first witness is the one a plain 1..k scan would
+find.  A completed assignment is an AR-labeling by construction (and is
+re-verified); an exhausted search is a refutation certificate for that
+label budget.
 """
 
 from __future__ import annotations
@@ -53,9 +55,19 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """What a search did.
+
+    ``nodes``: edges labeled.  ``occupancy_prunes``: labels illegal at an
+    endpoint of the edge.  ``forward_prunes``: labels cut because an
+    endpoint could not be completed to a DSS set.  ``probes``: calls of that
+    completion check, each one difference-mask test.  ``counting_refuted``:
+    the degree-counting argument refuted k before any search.
+    """
+
     nodes: int = 0
     occupancy_prunes: int = 0
     forward_prunes: int = 0
+    probes: int = 0
     counting_refuted: bool = False
 
     def as_dict(self) -> dict:
@@ -63,6 +75,7 @@ class SearchStats:
             "nodes": self.nodes,
             "occupancy_prunes": self.occupancy_prunes,
             "forward_prunes": self.forward_prunes,
+            "probes": self.probes,
             "counting_refuted": self.counting_refuted,
         }
 
@@ -126,8 +139,37 @@ def ari_lower_bound(g: Graph) -> int:
     return k0
 
 
+def can_complete(
+    z: int, off: int, cand: int, r: int, stats: SearchStats, deadline: float
+) -> bool:
+    """May some r labels of ``cand`` join, together, the set behind ``z``?
+
+    ``z`` is the set's difference mask at offset ``off`` (dss module
+    docstring) and ``cand`` a bitmask of distinct labels (bit a for label a).
+    The answer is exact: a depth-first search picks the labels in increasing
+    order, lowest bit first, screens each level's candidates with one AND
+    and stops at the first success.  Each call is one probe; every 1024th
+    probe checks ``deadline`` and raises SearchTimeout once it has passed.
+    """
+    stats.probes += 1
+    if stats.probes & 1023 == 0 and time.monotonic() > deadline:
+        raise SearchTimeout
+    legal = cand & ~(z >> off)
+    if r == 1:
+        return legal != 0
+    r -= 1
+    # The smallest label of a completion leaves r more above it.
+    while legal.bit_count() > r:
+        low = legal & -legal
+        legal ^= low
+        a = low.bit_length() - 1
+        if can_complete(z | z << a | z >> a, off, legal, r, stats, deadline):
+            return True
+    return False
+
+
 def _search_order(g: Graph) -> list[int]:
-    # Highest-degree endpoints first: their occupancy bitmaps fill fastest,
+    # Highest-degree endpoints first: their difference masks fill fastest,
     # so the DSS pruning bites as early as possible.
     deg = [g.degree(v) for v in range(g.vertex_count)]
     return sorted(
@@ -232,22 +274,22 @@ def find_ar_labeling(
         free = full & ~used
         blocked = free & ((zu | zv) >> off)
         cand = free ^ blocked
-        spare = free.bit_count() - 1  # labels left free once one is taken
         # Lowest label first: the order of a 1..k scan.
         while cand:
             low = cand & -cand
             cand ^= low
             lab = low.bit_length() - 1
             rest = free ^ low
-            # Forward check: an endpoint with r free edges left needs r
-            # distinct labels still legal there.  Legal sets only shrink
-            # deeper in the branch, so a failing label roots a dead subtree.
+            # Forward check: an endpoint with r free edges left needs r more
+            # labels from the free ones that are DSS together with its own.
+            # Any labeling below this node would give such labels, so a
+            # failing label roots a dead subtree.
             nzu = zu | zu << lab | zu >> lab
-            if ru and spare - (rest & (nzu >> off)).bit_count() < ru:
+            if ru and not can_complete(nzu, off, rest, ru, stats, deadline):
                 stats.forward_prunes += 1
                 continue
             nzv = zv | zv << lab | zv >> lab
-            if rv and spare - (rest & (nzv >> off)).bit_count() < rv:
+            if rv and not can_complete(nzv, off, rest, rv, stats, deadline):
                 stats.forward_prunes += 1
                 continue
             z[u] = nzu
@@ -311,6 +353,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         total.nodes += outcome.stats.nodes
         total.occupancy_prunes += outcome.stats.occupancy_prunes
         total.forward_prunes += outcome.stats.forward_prunes
+        total.probes += outcome.stats.probes
         if outcome.labeling is not None:
             return AriResult(g, EXACT, k, k, outcome.labeling, total)
         if not outcome.exhausted:

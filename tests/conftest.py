@@ -10,8 +10,11 @@ required to return the very same first witness.
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 from itertools import combinations
+
+import pytest
 
 from arlabel.graphs import (
     Graph,
@@ -23,6 +26,23 @@ from arlabel.graphs import (
     star,
     wheel,
 )
+
+
+@pytest.fixture
+def slow_clock(monkeypatch):
+    """Make every read of ``time.monotonic`` advance the clock by one second.
+
+    A budget below a second then expires at the first deadline check after
+    the search starts, so a timeout test does not depend on how fast the
+    host or the search is.
+    """
+    reads = [0.0]
+
+    def monotonic() -> float:
+        reads[0] += 1.0
+        return reads[0]
+
+    monkeypatch.setattr(time, "monotonic", monotonic)
 
 
 @lru_cache(maxsize=200_000)

@@ -142,6 +142,13 @@ class TestAriCommand:
         assert "= 8" in out
         assert "almost AR" in out
 
+    def test_machine_record_counts_search_work(self, capsys):
+        code, out = run(capsys, "ari", "bistar", "3", "3", "--format", "machine")
+        assert code == 0
+        search = json.loads(out)["search"]
+        assert search["probes"] > 0
+        assert search["forward_prunes"] > 0
+
     def test_multipartite_spec(self, capsys):
         code, out = run(capsys, "ari", "multipartite", "2,2", "--budget", "1m")
         assert code == 0
@@ -170,8 +177,8 @@ class TestAriCommand:
         code, _ = run(capsys, "ari", "star")
         assert code == 2
 
-    def test_budget_exhaustion_exit(self, capsys):
-        code, out = run(capsys, "ari", "complete", "6", "--budget", "1s")
+    def test_budget_exhaustion_exit(self, capsys, slow_clock):
+        code, out = run(capsys, "ari", "complete", "6", "--budget", "1.5s")
         assert code == 3
         assert "bounds-only" in out
 

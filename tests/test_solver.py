@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from arlabel.check import is_ar_labeling
-from arlabel.dss import is_dss
+from arlabel.dss import difference_mask, is_dss
 from arlabel.errors import UnsupportedSizeError
 from arlabel.es import KNOWN_ES, es_floor
 from arlabel.graphs import (
@@ -23,8 +25,10 @@ from arlabel.solver import (
     BOUNDS_ONLY,
     EXACT,
     SearchConfig,
+    SearchStats,
     ari,
     ari_lower_bound,
+    can_complete,
     counting_prune,
     disjoint_dss_cover,
     embed_in_ar_graph,
@@ -118,10 +122,19 @@ class TestFindArLabeling:
             assert all(1 <= lab <= k for lab in labels)
             assert is_ar_labeling(g, outcome.labeling).ok
 
-    def test_timeout_reported_not_exhausted(self):
+    def test_timeout_reported_not_exhausted(self, slow_clock):
         out = find_ar_labeling(complete(6), 16, SearchConfig(budget_s=0.02))
         assert out.labeling is None
         assert not out.exhausted
+
+    def test_completion_check_honours_budget(self, slow_clock):
+        # K_{1,7} at ES(7) = 44 takes 7 nodes, too few for the node loop's
+        # deadline check; the completion check at the center does the work
+        # and must stop on its own.
+        out = find_ar_labeling(star(7), 44, SearchConfig(budget_s=0.5))
+        assert out.labeling is None
+        assert not out.exhausted
+        assert out.stats.nodes < 1024 <= out.stats.probes
 
     def test_edge_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -150,6 +163,27 @@ class TestFindArLabeling:
                 out = find_ar_labeling(g, k, FAST)
                 got = (None if out.labeling is None else out.labeling.labels, out.exhausted)
                 assert got == reference_find_ar_labeling(g, k), (g.name, k)
+
+
+class TestCanComplete:
+    def test_matches_brute_force(self):
+        # Every DSS set S within {1..12} of at most 3 elements, r = 1..3,
+        # candidates: the labels of 1..16 outside S, and every other one of
+        # them.  A false "no" would cut a live subtree, a false "yes" only
+        # loses pruning; both directions must agree.
+        off = 16 * 6  # largest total of S plus three labels
+        stats = SearchStats()
+        sets = [s for size in range(4) for s in combinations(range(1, 13), size) if is_dss(s)]
+        for s in sets:
+            free = [a for a in range(1, 17) if a not in s]
+            z = difference_mask(s, off)
+            for labels in (free, free[::2]):
+                cand = sum(1 << a for a in labels)
+                for r in range(1, 4):
+                    expect = any(is_dss(s + c) for c in combinations(labels, r))
+                    got = can_complete(z, off, cand, r, stats, float("inf"))
+                    assert got == expect, (s, labels, r)
+        assert stats.probes > 0
 
 
 class TestFixedLabels:
@@ -213,9 +247,12 @@ class TestAri:
             if m <= 9:
                 assert result.value <= KNOWN_ES[m]
 
-    def test_timeout_gives_bounds(self):
-        result = ari(complete(6), SearchConfig(budget_s=0.02))
+    def test_timeout_gives_bounds(self, slow_clock):
+        # ari reads the clock for its deadline and once per k, which leaves
+        # the K_6@15 search 0.5 s: it times out at its first check.
+        result = ari(complete(6), SearchConfig(budget_s=1.5))
         assert result.status == BOUNDS_ONLY
+        assert result.stats.nodes > 0
         assert result.value is None
         assert result.lower >= 15
         assert result.upper >= result.lower
@@ -242,7 +279,7 @@ class TestArGraphDecision:
         assert is_almost_ar(bistar(3, 3), FAST) is True
         assert is_almost_ar(bistar(2, 2), FAST) is False  # already AR
 
-    def test_timeout_is_none(self):
+    def test_timeout_is_none(self, slow_clock):
         assert is_ar_graph(complete(6), SearchConfig(budget_s=0.02)) is None
 
 
@@ -396,11 +433,20 @@ class TestEmbed:
         assert h.edge_count() == 24
         assert sorted(labeling.labels) == list(range(1, 25))
 
-    def test_k6_embedding_exceeds_sane_budgets(self):
+    def test_k6_embedding_exceeds_sane_budgets(self, slow_clock):
         from arlabel.errors import SearchTimeout
 
         with pytest.raises(SearchTimeout):
-            embed_in_ar_graph(complete(6), SearchConfig(budget_s=1))
+            embed_in_ar_graph(complete(6), SearchConfig(budget_s=0.5))
+
+    def test_k6_embedding(self):
+        # K_6 and K_6 + pendant are refuted at their edge counts, so the
+        # supergraph carries a tail that absorbs the labels ARI(G') leaves.
+        h, labeling = embed_in_ar_graph(complete(6), FAST)
+        assert is_ar_labeling(h, labeling).ok
+        assert h.edge_count() == 24
+        assert sorted(labeling.labels) == list(range(1, 25))
+        assert set(complete(6).edges) <= set(h.edges)
 
 
 class TestSearchConfig:
@@ -419,6 +465,17 @@ class TestSearchConfig:
         out = find_ar_labeling(complete(4), 6, FAST)
         assert out.stats.nodes > 0
         assert out.stats.as_dict()["nodes"] == out.stats.nodes
+        assert out.stats.as_dict()["probes"] == out.stats.probes > 0
+
+    def test_ari_totals_include_probes(self):
+        g = bistar(3, 3)
+        result = ari(g, FAST)
+        steps = [
+            find_ar_labeling(g, k, FAST, _require_label_k=True)
+            for k in range(ari_lower_bound(g), result.value + 1)
+        ]
+        assert result.stats.probes == sum(out.stats.probes for out in steps) > 0
+        assert result.stats.forward_prunes == sum(out.stats.forward_prunes for out in steps)
 
 
 def test_no_edge_graphs_rejected():
