@@ -14,7 +14,6 @@ from pathlib import Path
 from . import __version__
 from .check import Verdict, save_labeling, verify_files
 from .dss import enumerate_dss_sets, is_dss, subset_sum_collision
-from .errors import ParseError
 from .es import BOUND_ONLY, es
 from .graphs import (
     Graph,
@@ -148,7 +147,6 @@ def cmd_ari(args: argparse.Namespace) -> int:
         g = build_family(args.family)
     cfg = SearchConfig(
         budget_s=args.budget,
-        threads=args.threads,
         symmetry_breaking=args.symmetry_breaking,
     )
     result = ari(g, cfg)
@@ -217,8 +215,6 @@ def make_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, budget_default: float) -> None:
         p.add_argument("--budget", type=parse_duration, default=budget_default,
                        help="time budget, e.g. 30s, 5m, 2h (default %(default)ss)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker width (accepted; search currently runs serially)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--output", help="also write the rendered result to this path")
 
@@ -277,13 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("ari needs a family spec or --file")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (ValueError, OverflowError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (ValueError, OverflowError, FileNotFoundError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

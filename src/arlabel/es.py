@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .dss import MAX_TOTAL, DssSet, difference_mask, is_dss
+from .errors import SearchTimeout
 
 COMPUTED = "computed"
 KNOWN = "known"
@@ -23,10 +24,6 @@ KNOWN_ES = {1: 1, 2: 2, 3: 4, 4: 7, 5: 13, 6: 24, 7: 44, 8: 84, 9: 161}
 
 # 2^n must stay inside a 64-bit word for the analytic bounds.
 _MAX_N = 62
-
-
-class _SearchTimeout(Exception):
-    pass
 
 
 def _check_n(n: int) -> None:
@@ -152,7 +149,7 @@ def _witness_with_max(
             cand ^= 1 << a
             nodes += 1
             if nodes & 1023 == 0 and monotonic() > deadline:
-                raise _SearchTimeout
+                raise SearchTimeout
             if rem == 1:
                 return (a,)
             rest = down(z | z << a | z >> a, a - 1, rem - 1, total + a)
@@ -177,7 +174,7 @@ def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | Non
     for x in range(lo, hi + 1):
         try:
             witness = _witness_with_max(n, x, floors, deadline)
-        except _SearchTimeout:
+        except SearchTimeout:
             return ("timeout", x, None)
         if witness is not None:
             return (COMPUTED, x, witness)

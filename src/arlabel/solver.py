@@ -9,11 +9,13 @@ module docstring), so the labels legal at both endpoints of an edge come
 from one AND of the free labels against the two masks.  A forward check then
 skips a label after which an endpoint with r unlabeled edges has no r free
 labels that are DSS together with its labels so far (``can_complete``, an
-exact search on the endpoint's mask).  Both cuts remove only subtrees
-without a labeling, so the first witness is the one a plain 1..k scan would
-find.  A completed assignment is an AR-labeling by construction (and is
-re-verified); an exhausted search is a refutation certificate for that
-label budget.
+exact search on the endpoint's mask).  The search remembers those answers
+in a memo of at most ``_COMPLETION_MEMO_CAP`` entries that lives as long as
+one ``find_ar_labeling`` call.  Both cuts remove only subtrees without a
+labeling, so the first witness is the one a plain 1..k scan would find.  A
+completed assignment is an AR-labeling by construction (and is
+re-verified); an exhausted search is a refutation certificate for that label
+budget.
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ logger = logging.getLogger(__name__)
 EXACT = "exact"
 BOUNDS_ONLY = "bounds-only"
 
+# Completion answers one search remembers at most.  A full memo is cleared
+# whole, which keeps it to a few MB; a cleared answer is only asked again.
+_COMPLETION_MEMO_CAP = 1 << 14
+
 
 @dataclass
 class SearchConfig:
-    """Solver knobs: wall-clock budget, worker width, optional symmetry cut.
-
-    ``threads`` is accepted for interface compatibility; the current solver
-    runs serially regardless, which trivially satisfies the contract that
-    parallel and serial runs report identical values.
-    """
+    """Solver knobs: wall-clock budget, optional symmetry cut, edge cap."""
 
     budget_s: float = 60.0
-    threads: int = 1
     symmetry_breaking: bool = False
     edge_cap: int = 40
 
@@ -59,9 +59,11 @@ class SearchStats:
 
     ``nodes``: edges labeled.  ``occupancy_prunes``: labels illegal at an
     endpoint of the edge.  ``forward_prunes``: labels cut because an
-    endpoint could not be completed to a DSS set.  ``probes``: calls of that
-    completion check, each one difference-mask test.  ``counting_refuted``:
-    the degree-counting argument refuted k before any search.
+    endpoint could not be completed to a DSS set.  ``probes``:
+    difference-mask tests that completion check made (calls of
+    ``can_complete``); an answer the search remembered makes none.
+    ``counting_refuted``: the degree-counting argument refuted k before any
+    search.
     """
 
     nodes: int = 0
@@ -261,6 +263,21 @@ def find_ar_labeling(
     assigned = [0] * depth
     deadline = time.monotonic() + cfg.budget_s
     monotonic = time.monotonic
+    # can_complete's answers in this search.  A difference mask is symmetric
+    # about off, so its upper half holds all of it, and only the legal free
+    # labels matter: (z >> off, legal, r) fixes the answer.
+    memo: dict[tuple[int, int, int], bool] = {}
+
+    def completes(nz: int, rest: int, r: int) -> bool:
+        high = nz >> off
+        legal = rest & ~high
+        key = (high, legal, r)
+        ok = memo.get(key)
+        if ok is None:
+            if len(memo) >= _COMPLETION_MEMO_CAP:
+                memo.clear()
+            ok = memo[key] = can_complete(nz, off, legal, r, stats, deadline)
+        return ok
 
     def dfs(i: int, used: int) -> bool:
         if i == depth:
@@ -285,11 +302,11 @@ def find_ar_labeling(
             # Any labeling below this node would give such labels, so a
             # failing label roots a dead subtree.
             nzu = zu | zu << lab | zu >> lab
-            if ru and not can_complete(nzu, off, rest, ru, stats, deadline):
+            if ru and not completes(nzu, rest, ru):
                 stats.forward_prunes += 1
                 continue
             nzv = zv | zv << lab | zv >> lab
-            if rv and not can_complete(nzv, off, rest, rv, stats, deadline):
+            if rv and not completes(nzv, rest, rv):
                 stats.forward_prunes += 1
                 continue
             z[u] = nzu
@@ -309,6 +326,10 @@ def find_ar_labeling(
         found = dfs(0, used)
     except SearchTimeout:
         return SearchOutcome(None, False, stats)
+    finally:
+        # dfs refers to itself, so only the cycle collector would free the
+        # memo it holds.
+        memo.clear()
     if not found:
         return SearchOutcome(None, True, stats)
     labels = [0] * m
@@ -345,7 +366,6 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
             return AriResult(g, BOUNDS_ONLY, k, upper, None, total)
         step_cfg = SearchConfig(
             budget_s=remaining,
-            threads=cfg.threads,
             symmetry_breaking=cfg.symmetry_breaking,
             edge_cap=cfg.edge_cap,
         )

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from arlabel import solver
 from arlabel.check import is_ar_labeling
 from arlabel.dss import difference_mask, is_dss
 from arlabel.errors import UnsupportedSizeError
@@ -40,6 +41,14 @@ from arlabel.solver import (
 from conftest import naive_ari, naive_is_dss, reference_find_ar_labeling, small_family_graphs
 
 FAST = SearchConfig(budget_s=30)
+
+
+def _plain_scan_cases():
+    graphs = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
+    graphs += [star(n) for n in range(1, 6)]
+    graphs += [complete(4), complete(5), complete_bipartite(2, 3), complete_bipartite(3, 3)]
+    graphs += [bistar(3, 3), wheel(5), wheel(6)]
+    return [(g, k) for g in graphs for k in range(g.edge_count(), g.edge_count() + 5)]
 
 
 class TestCountingPrune:
@@ -153,16 +162,44 @@ class TestFindArLabeling:
     def test_same_first_witness_as_plain_scan(self):
         # Masks and the forward check cut only dead subtrees, so the first
         # witness (or the refutation) is the plain 1..k scan's.
-        graphs = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
-        graphs += [star(n) for n in range(1, 6)]
-        graphs += [complete(4), complete(5), complete_bipartite(2, 3), complete_bipartite(3, 3)]
-        graphs += [bistar(3, 3), wheel(5), wheel(6)]
-        for g in graphs:
-            m = g.edge_count()
-            for k in range(m, m + 5):
-                out = find_ar_labeling(g, k, FAST)
-                got = (None if out.labeling is None else out.labeling.labels, out.exhausted)
-                assert got == reference_find_ar_labeling(g, k), (g.name, k)
+        for g, k in _plain_scan_cases():
+            out = find_ar_labeling(g, k, FAST)
+            got = (None if out.labeling is None else out.labeling.labels, out.exhausted)
+            assert got == reference_find_ar_labeling(g, k), (g.name, k)
+
+    def test_tree_sizes_pinned(self):
+        # (nodes, occupancy prunes, forward prunes) of the benchmark's
+        # kernel instances.  Remembering completion answers must not move
+        # them; only probes may fall.  B_{2,3}@7 asks the same mask and
+        # legal labels with two values of r, at the centers of degree 3 and 4.
+        cases = [
+            (find_ar_labeling(bistar(2, 3), 7, FAST), (6, 5, 8)),
+            (find_ar_labeling(complete(6), 15, FAST), (3920, 17922, 19892)),
+            (ari(complete_bipartite(2, 5), FAST), (4219, 15960, 20384)),
+            (ari(complete_multipartite([1, 1, 1, 3]), FAST), (25575, 86508, 74169)),
+            (ari(bistar(4, 4), FAST), (2457, 9391, 11604)),
+        ]
+        for out, sizes in cases:
+            st = out.stats
+            assert (st.nodes, st.occupancy_prunes, st.forward_prunes) == sizes, sizes
+
+    def test_completion_memo_cap_changes_only_probes(self, monkeypatch):
+        # A memo cleared on every insert must give the same search as the
+        # full-size one: remembered answers are can_complete's own.
+        def run(g, k):
+            out = find_ar_labeling(g, k, FAST)
+            st = out.stats
+            got = (None if out.labeling is None else out.labeling.labels, out.exhausted)
+            return got, (st.nodes, st.occupancy_prunes, st.forward_prunes), st.probes
+
+        cases = _plain_scan_cases()
+        full = [run(g, k) for g, k in cases]
+        monkeypatch.setattr(solver, "_COMPLETION_MEMO_CAP", 1)
+        capped = [run(g, k) for g, k in cases]
+        for (g, k), a, b in zip(cases, full, capped):
+            assert a[:2] == b[:2], (g.name, k)
+        # The cap took effect: the one-entry memo asks can_complete more.
+        assert sum(b[2] for b in capped) > sum(a[2] for a in full)
 
 
 class TestCanComplete:
@@ -453,13 +490,6 @@ class TestSearchConfig:
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError):
             SearchConfig(budget_s=0)
-
-    def test_threads_accepted(self):
-        cfg = SearchConfig(budget_s=1, threads=8)
-        out_serial = find_ar_labeling(complete(4), 6, SearchConfig(budget_s=30))
-        out_wide = find_ar_labeling(complete(4), 6, SearchConfig(budget_s=30, threads=8))
-        assert out_serial.labeling == out_wide.labeling
-        assert cfg.threads == 8
 
     def test_stats_populated(self):
         out = find_ar_labeling(complete(4), 6, FAST)
