@@ -99,6 +99,7 @@ def cmd_es(args: argparse.Namespace) -> int:
         "upper": rec.upper,
         "value": rec.value,
         "witness": list(rec.witness.elements) if rec.witness else None,
+        "nodes": rec.nodes,
     }
     if rec.status == BOUND_ONLY:
         text = f"ES({rec.n}) in [{rec.lower}, {rec.upper}]  (bound-only: budget exhausted)"

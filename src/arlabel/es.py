@@ -4,6 +4,12 @@ ES(n) is the smallest possible maximum element of an n-element DSS set.  The
 first nine values are known: 1, 2, 4, 7, 13, 24, 44, 84, 161 (OEIS A276661).
 The solver recomputes values exactly where the time budget allows and
 degrades to certified intervals otherwise.
+
+The exact search prunes with the second-moment argument of Erdos and Moser
+in its exact form.  The sum of a uniformly random subset of an n-set has
+variance sum(a^2)/4.  For a DSS set that sum takes 2^n distinct integer
+values with equal probability, so its variance is at least (4^n - 1)/12.
+Hence every DSS n-set has sum(a^2) >= (4^n - 1)/3.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ class EsRecord:
     lower: int
     upper: int
     witness: DssSet | None
+    nodes: int = field(default=0, compare=False)  # search nodes this record took
 
     @property
     def value(self) -> int | None:
@@ -116,31 +123,61 @@ def es_floor(j: int) -> int:
     return KNOWN_ES[j] if j <= 9 else erdos_counting_lb(j)
 
 
+def _square_floor(rem: int, deficit: int) -> int:
+    """The smallest a >= 0 with rem*a^2 - rem*(rem-1)*a >= deficit.
+
+    The left side is rem*a*(a - (rem-1)), so for a positive deficit the
+    answer exceeds rem-1, where the left side increases, and
+    a*(a - (rem-1)) >= ceil(deficit/rem) solves as a quadratic in integers.
+    """
+    if deficit <= 0:
+        return 0
+    r1 = rem - 1
+    q = r1 * r1 + 4 * -(-deficit // rem)  # (2a - r1)^2 must reach q
+    s = isqrt(q)
+    if s * s < q:
+        s += 1
+    return (r1 + s + 1) // 2
+
+
 def _witness_with_max(
     n: int, x: int, floors: list[int], deadline: float
-) -> tuple[int, ...] | None:
-    """An n-element DSS subset of {1..x} containing x, or None.
+) -> tuple[tuple[int, ...] | None, int]:
+    """(An n-element DSS subset of {1..x} containing x, or None; nodes).
 
     Depth-first over elements in decreasing order, larger candidates first.
-    Candidates at a node are one mask: the range left by the prefix bound
-    (the element chosen with rem still to pick is the rem-th smallest, hence
-    >= ES(rem)) and the total-sum bound (2^n distinct sums fit in
-    [0, total] only if total >= 2^n - 1), minus the labels the chosen
+    Candidates at a node are one mask: the range left by three lower bounds
+    on the largest element a still to pick, minus the labels the chosen
     elements' difference mask rules out (see the dss module docstring).
+    The bounds are:
+      - the prefix bound: the element chosen with rem still to pick is the
+        rem-th smallest, hence >= ES(rem);
+      - the total-sum bound: 2^n distinct sums fit in [0, total] only if
+        total >= 2^n - 1;
+      - the second-moment bound (module docstring): the squares must reach
+        (4^n - 1)/3, and the rem elements still to pick add at most
+        sum_{i<rem} (a - i)^2.
+    Each cuts only subtrees that hold no DSS set, so the first witness is
+    the one plain enumeration in this order finds.  On timeout raises
+    SearchTimeout(nodes).
     """
     if n == 1:
-        return (x,)
+        return (x,), 0
     target = (1 << n) - 1
+    # need[rem] - sq is the deficit _square_floor must cover: the squares'
+    # target less the constant term sum_{i<rem} i^2 of the expansion.
+    squares = ((1 << 2 * n) - 1) // 3
+    need = [squares - (rem - 1) * rem * (2 * rem - 1) // 6 for rem in range(n)]
     off = n * x  # no n distinct elements of {1..x} sum to more
     nodes = 0
     monotonic = time.monotonic
 
-    def down(z: int, hi: int, rem: int, total: int) -> tuple[int, ...] | None:
+    def down(z: int, hi: int, rem: int, total: int, sq: int) -> tuple[int, ...] | None:
         nonlocal nodes
         # With a the largest of the rem elements still to pick, the total
         # reaches at most total + rem*a - rem*(rem-1)/2.
         amin = -(-(target - total + rem * (rem - 1) // 2) // rem)
-        lo = max(floors[rem], amin)
+        lo = max(floors[rem], amin, _square_floor(rem, need[rem] - sq))
         if lo > hi:
             return None
         cand = ((1 << (hi + 1)) - (1 << lo)) & ~(z >> off)
@@ -149,20 +186,21 @@ def _witness_with_max(
             cand ^= 1 << a
             nodes += 1
             if nodes & 1023 == 0 and monotonic() > deadline:
-                raise SearchTimeout
+                raise SearchTimeout(nodes)
             if rem == 1:
                 return (a,)
-            rest = down(z | z << a | z >> a, a - 1, rem - 1, total + a)
+            rest = down(z | z << a | z >> a, a - 1, rem - 1, total + a, sq + a * a)
             if rest is not None:
                 return rest + (a,)
         return None
 
-    tail = down(difference_mask((x,), off), x - 1, n - 1, x)
-    return None if tail is None else tail + (x,)
+    tail = down(difference_mask((x,), off), x - 1, n - 1, x, x * x)
+    return (None if tail is None else tail + (x,)), nodes
 
 
-def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | None]:
-    """("computed", ES(n), witness) or ("timeout", first unrefuted x, None)."""
+def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | None, int]:
+    """("computed", ES(n), witness, nodes) or ("timeout", first unrefuted x,
+    None, nodes)."""
     lo = max(erdos_counting_lb(n), erdos_moser_lb(n))
     if n - 1 >= 1 and n - 1 <= 9:
         # Deleting the maximum of an optimal witness shows ES(n) > ES(n-1).
@@ -171,13 +209,15 @@ def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | Non
     floors = [0] * n
     for j in range(1, n):
         floors[j] = es_floor(j)
+    nodes = 0
     for x in range(lo, hi + 1):
         try:
-            witness = _witness_with_max(n, x, floors, deadline)
-        except SearchTimeout:
-            return ("timeout", x, None)
+            witness, used = _witness_with_max(n, x, floors, deadline)
+        except SearchTimeout as stop:
+            return ("timeout", x, None, nodes + stop.args[0])
+        nodes += used
         if witness is not None:
-            return (COMPUTED, x, witness)
+            return (COMPUTED, x, witness, nodes)
     raise RuntimeError("internal: search exceeded the Conway-Guy upper bound")
 
 
@@ -192,10 +232,10 @@ def es(n: int, budget_s: float = 60.0) -> EsRecord:
     if budget_s <= 0:
         raise ValueError("budget must be positive")
     deadline = time.monotonic() + budget_s
-    kind, x, witness = _search_es(n, deadline)
+    kind, x, witness, nodes = _search_es(n, deadline)
     if kind == COMPUTED:
-        return EsRecord(n, COMPUTED, x, x, DssSet(witness))
-    return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None)
+        return EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
+    return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None, nodes)
 
 
 def es_table(n_max: int, budget_s: float = 60.0) -> EsTable:
@@ -210,20 +250,21 @@ def es_table(n_max: int, budget_s: float = 60.0) -> EsTable:
     exact: dict[int, int] = {}
     for n in range(1, n_max + 1):
         rec: EsRecord | None = None
+        nodes = 0
         if time.monotonic() < deadline:
-            kind, x, witness = _search_es(n, deadline)
+            kind, x, witness, nodes = _search_es(n, deadline)
             if kind == COMPUTED:
-                rec = EsRecord(n, COMPUTED, x, x, DssSet(witness))
+                rec = EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
         if rec is None:
             if n <= 9:
                 value = KNOWN_ES[n]
-                rec = EsRecord(n, KNOWN, value, value, conway_guy_set(n))
+                rec = EsRecord(n, KNOWN, value, value, conway_guy_set(n), nodes)
             else:
                 lower = max(erdos_counting_lb(n), erdos_moser_lb(n))
                 prev = exact.get(n - 1)
                 if prev is not None:
                     lower = max(lower, prev + 1)
-                rec = EsRecord(n, BOUND_ONLY, lower, conway_guy_u(n), None)
+                rec = EsRecord(n, BOUND_ONLY, lower, conway_guy_u(n), None, nodes)
         if rec.value is not None:
             exact[n] = rec.value
         table.records[n] = rec

@@ -78,7 +78,8 @@ class TestCriterion1EsSequence:
         rec = es(8, budget_s=3600)
         dt = time.perf_counter() - t0
         assert rec.value == 84
-        report("criterion 1c", f"ES(8) = 84 in {dt:.0f}s")
+        assert rec.witness.elements == (40, 60, 71, 77, 80, 82, 83, 84)
+        report("criterion 1c", f"ES(8) = 84 in {dt:.0f}s, {rec.nodes:,} nodes")
 
     def test_es_nine_may_be_bound_only(self):
         rec = es(9, budget_s=5)

@@ -4,6 +4,8 @@ exact search on the fast range."""
 from __future__ import annotations
 
 import math
+import time
+from itertools import combinations, count
 
 import pytest
 
@@ -14,11 +16,14 @@ from arlabel.es import (
     KNOWN,
     KNOWN_ES,
     EsRecord,
+    _square_floor,
+    _witness_with_max,
     conway_guy_set,
     conway_guy_u,
     erdos_counting_lb,
     erdos_moser_lb,
     es,
+    es_floor,
     es_table,
 )
 
@@ -146,6 +151,13 @@ class TestEsSearch:
         for n, witness in expected.items():
             assert es(n, budget_s=60).witness.elements == witness
 
+    def test_node_counts_pinned(self):
+        # Node counts are deterministic; a weakened or disabled prune grows
+        # them (without the second-moment bound ES(7) takes 354,359).
+        expected = {5: 47, 6: 1_650, 7: 93_904}
+        for n, nodes in expected.items():
+            assert es(n, budget_s=60).nodes == nodes
+
     def test_deterministic_witness(self):
         a = es(5, budget_s=30)
         b = es(5, budget_s=30)
@@ -159,10 +171,65 @@ class TestEsSearch:
         # everything below ES(8)+1 = 85 is refuted analytically up front
         assert 85 <= rec.lower <= 161
         assert rec.upper == 161
+        assert rec.nodes > 0  # the work done before the budget ran out
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             es(3, budget_s=0)
+
+
+def _first_by_brute_force(n: int, x: int) -> tuple[int, ...] | None:
+    """The first n-element DSS subset of {1..x} containing x, in the witness
+    search's order: elements compared from the largest down, larger first."""
+    below = range(x - 1, 0, -1)
+    for rest in combinations(below, n - 1):
+        elems = tuple(sorted(rest + (x,)))
+        if is_dss(elems):
+            return elems
+    return None
+
+
+class TestWitnessSoundness:
+    """The pruned witness search against plain enumeration, in both the
+    found and the refuted direction: the witness pins alone cannot catch a
+    prune that cuts a subtree holding only later DSS sets."""
+
+    @staticmethod
+    def _pruned(n: int, x: int) -> tuple[int, ...] | None:
+        floors = [0] + [es_floor(j) for j in range(1, n)]
+        witness, _ = _witness_with_max(n, x, floors, time.monotonic() + 60)
+        return witness
+
+    def test_matches_brute_force_up_to_five(self):
+        for n in range(1, 6):
+            for x in range(1, KNOWN_ES[n] + 4):
+                assert self._pruned(n, x) == _first_by_brute_force(n, x), (n, x)
+
+    def test_matches_brute_force_at_six(self):
+        for x in range(1, KNOWN_ES[6] + 2):
+            assert self._pruned(6, x) == _first_by_brute_force(6, x), x
+
+
+class TestSquareFloor:
+    """The second-moment prune's closed form.  No known witness is tight
+    against the bound, so an off-by-one here would keep every witness."""
+
+    @staticmethod
+    def _scan(rem: int, deficit: int) -> int:
+        return next(a for a in count(0) if rem * a * a - rem * (rem - 1) * a >= deficit)
+
+    def test_matches_linear_scan(self):
+        for rem in range(1, 10):
+            for deficit in range(-40, 3_000):
+                assert _square_floor(rem, deficit) == self._scan(rem, deficit), (rem, deficit)
+
+    def test_large_deficits(self):
+        # The deficits ES(8) and beyond reach at the root.
+        for rem in range(1, 10):
+            for deficit in (21_845, 87_381, 10**9, 4**30 // 3):
+                a = _square_floor(rem, deficit)
+                assert rem * a * a - rem * (rem - 1) * a >= deficit
+                assert rem * (a - 1) ** 2 - rem * (rem - 1) * (a - 1) < deficit
 
 
 class TestEsTable:
