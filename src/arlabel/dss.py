@@ -4,10 +4,12 @@ A set of positive integers is DSS when all 2^n of its subset sums are
 pairwise distinct (the empty subset contributes sum 0).  Two bitmap
 encodings, each packed into a single Python int, make the check cheap:
 
-* **Occupancy** (one-shot checks): bit s is set iff some subset sums to s.
-  Adding an element a maps ``bits`` to ``bits | (bits << a)``, and the
-  extension keeps the sums distinct iff the two halves do not overlap.
-  This costs O(n * total) bit operations instead of 2^n sum enumeration.
+* **Occupancy** (``is_dss``, ``subset_sum_collision``, ``enumerate_dss_sets``):
+  bit s is set iff some subset sums to s.  Adding an element a maps
+  ``bits`` to ``bits | (bits << a)``, and the extension keeps the sums
+  distinct iff the two halves do not overlap.  This costs O(n * total) bit
+  operations instead of 2^n sum enumeration.  ``DssSet`` validates through
+  ``is_dss``.
 * **Difference mask** (search kernels): bit ``off + d`` is set iff d is a
   difference of two subset sums, negative d included, so ``off`` must be
   at least the largest total the set can reach.  The empty set's mask is
@@ -46,50 +48,6 @@ def _checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
     return elems
 
 
-def _occupancy(elems: tuple[int, ...]) -> int:
-    bits = 1
-    for a in elems:
-        bits |= bits << a
-    return bits
-
-
-@dataclass(frozen=True)
-class SumBitset:
-    """Occupancy bitmap over achievable subset sums of an integer set.
-
-    ``bits`` has bit s set iff some subset sums to s; ``total`` is the sum of
-    all elements, i.e. the index of the highest set bit.  Immutable: extending
-    returns a new value.
-    """
-
-    bits: int
-    total: int
-
-    @classmethod
-    def empty(cls) -> "SumBitset":
-        return cls(bits=1, total=0)
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def can_extend(self, label: int) -> bool:
-        """True iff adding ``label`` keeps all subset sums distinct.
-
-        The sums gained are exactly old-sums + label, so distinctness is
-        preserved iff the shifted copy is disjoint from the original.
-        """
-        if label < 1:
-            raise ValueError(f"label {label} is not a positive integer")
-        return self.bits & (self.bits << label) == 0
-
-    def extended(self, label: int) -> "SumBitset":
-        if label < 1:
-            raise ValueError(f"label {label} is not a positive integer")
-        if self.total + label > MAX_TOTAL:
-            raise OverflowError("element sum exceeds 64-bit range")
-        return SumBitset(self.bits | (self.bits << label), self.total + label)
-
-
 @dataclass(frozen=True)
 class DssSet:
     """A strictly increasing tuple of positive integers with distinct subset sums.
@@ -103,13 +61,9 @@ class DssSet:
 
     def __post_init__(self) -> None:
         elems = _checked_elements(self.elements)
+        if not is_dss(elems):
+            raise ValueError(f"{elems} is not a distinct-subset-sum set")
         object.__setattr__(self, "elements", elems)
-        bits = 1
-        for a in elems:
-            shifted = bits << a
-            if bits & shifted:
-                raise ValueError(f"{elems} is not a distinct-subset-sum set")
-            bits |= shifted
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -123,9 +77,6 @@ class DssSet:
     @property
     def largest(self) -> int:
         return self.elements[-1]
-
-    def bitset(self) -> SumBitset:
-        return SumBitset(_occupancy(self.elements), sum(self.elements))
 
 
 def is_dss(elements: Iterable[int]) -> bool:
@@ -142,17 +93,6 @@ def is_dss(elements: Iterable[int]) -> bool:
             return False
         bits |= shifted
     return True
-
-
-def sum_bitset(elements: Iterable[int]) -> SumBitset:
-    """Occupancy bitmap of every achievable subset sum of ``elements``."""
-    elems = _checked_elements(elements)
-    return SumBitset(_occupancy(elems), sum(elems))
-
-
-def can_extend(occupancy: SumBitset, label: int) -> bool:
-    """Incremental DSS test: may ``label`` join the set behind ``occupancy``?"""
-    return occupancy.can_extend(label)
 
 
 def difference_mask(elements: Iterable[int], off: int) -> int:

@@ -108,15 +108,6 @@ class EsRecord:
         return self.lower if self.status != BOUND_ONLY else None
 
 
-@dataclass
-class EsTable:
-    records: dict[int, EsRecord] = field(default_factory=dict)
-
-    def value(self, n: int) -> int | None:
-        rec = self.records.get(n)
-        return rec.value if rec else None
-
-
 def es_floor(j: int) -> int:
     """A certified lower bound on ES(j): the exact value for j <= 9, the
     counting bound beyond.  Safe to use inside prunes."""
@@ -146,14 +137,12 @@ def _witness_with_max(
     """(An n-element DSS subset of {1..x} containing x, or None; nodes).
 
     Depth-first over elements in decreasing order, larger candidates first.
-    Candidates at a node are one mask: the range left by three lower bounds
+    Candidates at a node are one mask: the range left by two lower bounds
     on the largest element a still to pick, minus the labels the chosen
     elements' difference mask rules out (see the dss module docstring).
     The bounds are:
       - the prefix bound: the element chosen with rem still to pick is the
         rem-th smallest, hence >= ES(rem);
-      - the total-sum bound: 2^n distinct sums fit in [0, total] only if
-        total >= 2^n - 1;
       - the second-moment bound (module docstring): the squares must reach
         (4^n - 1)/3, and the rem elements still to pick add at most
         sum_{i<rem} (a - i)^2.
@@ -163,7 +152,6 @@ def _witness_with_max(
     """
     if n == 1:
         return (x,), 0
-    target = (1 << n) - 1
     # need[rem] - sq is the deficit _square_floor must cover: the squares'
     # target less the constant term sum_{i<rem} i^2 of the expansion.
     squares = ((1 << 2 * n) - 1) // 3
@@ -172,12 +160,9 @@ def _witness_with_max(
     nodes = 0
     monotonic = time.monotonic
 
-    def down(z: int, hi: int, rem: int, total: int, sq: int) -> tuple[int, ...] | None:
+    def down(z: int, hi: int, rem: int, sq: int) -> tuple[int, ...] | None:
         nonlocal nodes
-        # With a the largest of the rem elements still to pick, the total
-        # reaches at most total + rem*a - rem*(rem-1)/2.
-        amin = -(-(target - total + rem * (rem - 1) // 2) // rem)
-        lo = max(floors[rem], amin, _square_floor(rem, need[rem] - sq))
+        lo = max(floors[rem], _square_floor(rem, need[rem] - sq))
         if lo > hi:
             return None
         cand = ((1 << (hi + 1)) - (1 << lo)) & ~(z >> off)
@@ -189,12 +174,12 @@ def _witness_with_max(
                 raise SearchTimeout(nodes)
             if rem == 1:
                 return (a,)
-            rest = down(z | z << a | z >> a, a - 1, rem - 1, total + a, sq + a * a)
+            rest = down(z | z << a | z >> a, a - 1, rem - 1, sq + a * a)
             if rest is not None:
                 return rest + (a,)
         return None
 
-    tail = down(difference_mask((x,), off), x - 1, n - 1, x, x * x)
+    tail = down(difference_mask((x,), off), x - 1, n - 1, x * x)
     return (None if tail is None else tail + (x,)), nodes
 
 
@@ -238,16 +223,15 @@ def es(n: int, budget_s: float = 60.0) -> EsRecord:
     return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None, nodes)
 
 
-def es_table(n_max: int, budget_s: float = 60.0) -> EsTable:
-    """Records for n = 1..n_max: computed where the shared budget allows,
-    the known published values (with Conway-Guy witnesses) for n <= 9
-    otherwise, bound-only intervals beyond."""
+def es_table(n_max: int, budget_s: float = 60.0) -> dict[int, EsRecord]:
+    """Records for n = 1..n_max, keyed by n: computed where the shared
+    budget allows, the known published values (with Conway-Guy witnesses)
+    for n <= 9 otherwise, bound-only intervals beyond."""
     _check_n(n_max)
     if budget_s <= 0:
         raise ValueError("budget must be positive")
     deadline = time.monotonic() + budget_s
-    table = EsTable()
-    exact: dict[int, int] = {}
+    table: dict[int, EsRecord] = {}
     for n in range(1, n_max + 1):
         rec: EsRecord | None = None
         nodes = 0
@@ -261,11 +245,9 @@ def es_table(n_max: int, budget_s: float = 60.0) -> EsTable:
                 rec = EsRecord(n, KNOWN, value, value, conway_guy_set(n), nodes)
             else:
                 lower = max(erdos_counting_lb(n), erdos_moser_lb(n))
-                prev = exact.get(n - 1)
+                prev = table[n - 1].value
                 if prev is not None:
                     lower = max(lower, prev + 1)
                 rec = EsRecord(n, BOUND_ONLY, lower, conway_guy_u(n), None, nodes)
-        if rec.value is not None:
-            exact[n] = rec.value
-        table.records[n] = rec
+        table[n] = rec
     return table

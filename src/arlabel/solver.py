@@ -1,6 +1,6 @@
 """Exact AR-index search: branch-and-bound labeling, counting prunes, and the
-special-purpose constructions (bipartite disjoint covers, wheel labelings,
-embedding into an AR-supergraph).
+special-purpose constructions (bipartite disjoint covers, wheel labelings as
+the search with the spokes fixed, embedding into an AR-supergraph).
 
 The decision core is ``find_ar_labeling``: backtracking over edges ordered by
 decreasing endpoint-degree sum, trying labels in ascending order.  Each
@@ -20,7 +20,6 @@ budget.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 
@@ -30,10 +29,11 @@ from .errors import SearchTimeout, UnsupportedSizeError
 from .es import KNOWN_ES, conway_guy_set, conway_guy_u, es, es_floor
 from .graphs import Graph, wheel
 
-logger = logging.getLogger(__name__)
-
 EXACT = "exact"
 BOUNDS_ONLY = "bounds-only"
+
+# Edges one search accepts at most.
+_EDGE_CAP = 40
 
 # Completion answers one search remembers at most.  A full memo is cleared
 # whole, which keeps it to a few MB; a cleared answer is only asked again.
@@ -42,11 +42,10 @@ _COMPLETION_MEMO_CAP = 1 << 14
 
 @dataclass
 class SearchConfig:
-    """Solver knobs: wall-clock budget, optional symmetry cut, edge cap."""
+    """Solver knobs: wall-clock budget, optional symmetry cut."""
 
     budget_s: float = 60.0
     symmetry_breaking: bool = False
-    edge_cap: int = 40
 
     def __post_init__(self) -> None:
         if self.budget_s <= 0:
@@ -218,8 +217,8 @@ def find_ar_labeling(
     stats = SearchStats()
     if m == 0:
         return SearchOutcome(Labeling(()), True, stats)
-    if m > cfg.edge_cap:
-        raise ValueError(f"graph has {m} edges, above the configured cap {cfg.edge_cap}")
+    if m > _EDGE_CAP:
+        raise ValueError(f"graph has {m} edges, above the configured cap {_EDGE_CAP}")
     if k < m:
         return SearchOutcome(None, True, stats)
     if not counting_prune(g, k):
@@ -364,11 +363,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             return AriResult(g, BOUNDS_ONLY, k, upper, None, total)
-        step_cfg = SearchConfig(
-            budget_s=remaining,
-            symmetry_breaking=cfg.symmetry_breaking,
-            edge_cap=cfg.edge_cap,
-        )
+        step_cfg = SearchConfig(budget_s=remaining, symmetry_breaking=cfg.symmetry_breaking)
         outcome = find_ar_labeling(g, k, step_cfg, _require_label_k=True)
         total.nodes += outcome.stats.nodes
         total.occupancy_prunes += outcome.stats.occupancy_prunes
@@ -452,22 +447,16 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
     return None
 
 
-def _wheel_rim_edges(n: int) -> list[tuple[int, int]]:
-    rim = [(i, i + 1) for i in range(1, n - 1)]
-    rim.append((1, n - 1))
-    return rim
-
-
 def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:
     """A verified AR-labeling of W_n with maximum label exactly ES(n-1).
 
-    Spokes take the Conway-Guy witness set for ES(n-1); rim edges are then
-    filled in three passes: a maximum matching of the rim first, the leftover
-    adjacent pair handled when the rim is odd, then the rest greedily with
-    the smallest feasible unused labels (the degree-3 feasibility rule,
-    applied via the occupancy test).  A greedy dead end falls back to
-    backtracking over the rim with the spokes fixed.  For n = 6 and 7 the
-    full backtracking search is used directly.
+    The spokes carry a DSS set whose maximum is ES(n-1): the Conway-Guy set
+    for n <= 10, the exact ES search's witness beyond.  The edge kernel
+    completes the rim around them (``find_ar_labeling`` with the spokes
+    fixed).  It tries the lowest label first, so each rim edge gets the
+    smallest unused label after which both endpoints can still complete to
+    DSS sets, and it backtracks only when no such label is left.  W_6..W_10
+    take one node per rim edge, without backtracking.
     """
     cfg = cfg or SearchConfig()
     if n < 6:
@@ -475,101 +464,23 @@ def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:
     d = n - 1  # hub degree == rim length
     if d > 9:
         rec = es(d, budget_s=cfg.budget_s)
-        if rec.value is None:
+        if rec.witness is None:
             raise UnsupportedSizeError(
                 f"ES({d}) is unavailable: exact search returned bounds "
                 f"[{rec.lower}, {rec.upper}] within the budget"
             )
-        k = rec.value
-        spoke_set = rec.witness
-        assert spoke_set is not None
+        spokes = rec.witness
     else:
-        k = KNOWN_ES[d]
-        spoke_set = conway_guy_set(d)
-
+        spokes = conway_guy_set(d)
     g = wheel(n)
-    if n in (6, 7):
-        outcome = find_ar_labeling(g, k, cfg)
-        if outcome.labeling is None:
-            if outcome.exhausted:  # pragma: no cover - contradicts the known index
-                raise RuntimeError(f"internal: W_{n} refuted at its own index {k}")
-            raise SearchTimeout(f"wheel W_{n} search did not finish in budget")
-        labeling = outcome.labeling
-    else:
-        labeling = _label_wheel_constructive(g, n, k, spoke_set, cfg)
-
-    verdict = is_ar_labeling(g, labeling)
-    if not verdict.ok:  # pragma: no cover - construction invariant
-        raise RuntimeError(f"internal: wheel labeling invalid: {verdict.describe()}")
-    if max(labeling.labels) != k:  # pragma: no cover - construction invariant
-        raise RuntimeError("internal: wheel labeling max is not ES(n-1)")
-    return labeling
-
-
-def _label_wheel_constructive(
-    g: Graph, n: int, k: int, spoke_set: DssSet, cfg: SearchConfig
-) -> Labeling:
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    labels: dict[int, int] = {}
-    occ = [1] * g.vertex_count
-
-    def place(u: int, v: int, lab: int) -> None:
-        e = edge_index[(min(u, v), max(u, v))]
-        labels[e] = lab
-        occ[u] |= occ[u] << lab
-        occ[v] |= occ[v] << lab
-
-    def feasible(u: int, v: int, lab: int) -> bool:
-        return (occ[u] & (occ[u] << lab)) == 0 and (occ[v] & (occ[v] << lab)) == 0
-
-    spokes = sorted(spoke_set.elements)
-    for i, lab in enumerate(spokes, start=1):
-        place(0, i, lab)
-    used = set(spokes)
-    spoke_labels = dict(labels)
-
-    rim = _wheel_rim_edges(n)
-    L = n - 1
-    matching = [(i, i + 1) for i in range(1, L, 2)]
-    rest = [e for e in rim if e not in set(matching)]
-
-    def greedy_fill(edges_left: list[tuple[int, int]]) -> bool:
-        for u, v in edges_left:
-            lab = next(
-                (
-                    c
-                    for c in range(1, k + 1)
-                    if c not in used and feasible(u, v, c)
-                ),
-                None,
-            )
-            if lab is None:
-                return False
-            place(u, v, lab)
-            used.add(lab)
-        return True
-
-    if L % 2 == 1:
-        # Odd rim: vertex L is unmatched; settle one of its two edges first
-        # so the remaining edges all see two labeled neighbors.
-        odd_first = (1, L)
-        rest = [odd_first] + [e for e in rest if e != odd_first]
-
-    if not greedy_fill(list(matching) + rest):
-        logger.warning(
-            "greedy rim fill failed for W_%d; falling back to rim backtracking", n
-        )
-        outcome = find_ar_labeling(g, k, cfg, fixed=spoke_labels)
-        if outcome.labeling is not None:
-            return outcome.labeling
-        if not outcome.exhausted:
-            raise SearchTimeout(f"wheel W_{n} rim search did not finish in budget")
-        raise RuntimeError(
-            f"internal: rim backtracking found no completion for W_{n} with the "
-            f"Conway-Guy spokes; construction evidence should be revisited"
-        )
-    ordered = tuple(labels[i] for i in range(g.edge_count()))
-    return Labeling(ordered)
+    # The hub's edges, in index order, go to rim vertices 1..n-1.
+    fixed = dict(zip(g.incident_edges(0), spokes))
+    outcome = find_ar_labeling(g, spokes.largest, cfg, fixed=fixed)
+    if outcome.labeling is None:
+        if outcome.exhausted:  # pragma: no cover - every rim tried completes
+            raise RuntimeError(f"internal: no rim of W_{n} completes the spokes {spokes.elements}")
+        raise SearchTimeout(f"wheel W_{n} rim search did not finish in budget")
+    return outcome.labeling
 
 
 def embed_in_ar_graph(

@@ -3,6 +3,8 @@ agreement with the naive hash-set oracle."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,10 @@ from hypothesis import strategies as st
 from arlabel.dss import (
     MAX_TOTAL,
     DssSet,
-    SumBitset,
-    can_extend,
+    difference_mask,
     enumerate_dss_sets,
     is_dss,
     subset_sum_collision,
-    sum_bitset,
 )
 from conftest import naive_is_dss
 
@@ -70,70 +70,77 @@ class TestIsDss:
         assert is_dss(subset) is True
 
 
-class TestSumBitset:
-    def test_empty_set_has_only_sum_zero(self):
-        bs = sum_bitset([])
-        assert bs.bits == 1
-        assert bs.total == 0
-        assert bs.popcount() == 1
+def _subsets(universe):
+    for mask in range(1 << len(universe)):
+        yield [universe[i] for i in range(len(universe)) if mask >> i & 1]
 
-    def test_two_elements_all_sums(self):
-        bs = sum_bitset([1, 2])
-        assert bs.bits == 0b1111  # sums 0, 1, 2, 3
-        assert bs.total == 3
 
-    def test_collision_shows_in_popcount(self):
-        bs = sum_bitset([1, 2, 3])
-        assert sorted(
-            s for s in range(bs.total + 1) if bs.bits >> s & 1
-        ) == [0, 1, 2, 3, 4, 5, 6]
-        assert bs.popcount() == 7 < 2**3
+class TestDifferenceMask:
+    def test_empty_set_has_only_difference_zero(self):
+        assert difference_mask([], 5) == 1 << 5
 
-    def test_bit_zero_always_set_and_top_bit_is_total(self):
-        for elems in ([], [4], [1, 2, 4], [3, 5, 6, 7]):
-            bs = sum_bitset(elems)
-            assert bs.bits & 1
-            assert bs.bits.bit_length() - 1 == bs.total
+    def test_two_elements_all_differences(self):
+        # sums 0, 1, 2, 3: every difference from -3 to 3
+        assert difference_mask([1, 2], 3) == 0b1111111
 
-    def test_popcount_is_power_iff_dss(self):
-        universe = list(range(1, 11))
-        for mask in range(1 << len(universe)):
-            elems = [universe[i] for i in range(len(universe)) if mask >> i & 1]
-            bs = sum_bitset(elems)
-            assert (bs.popcount() == 1 << len(elems)) == is_dss(elems)
+    def test_centre_bit_set_and_span_is_total(self):
+        for elems in ([], [4], [1, 2, 4], [3, 5, 6, 7], [1, 2, 3]):
+            total = sum(elems)
+            z = difference_mask(elems, total + 2)
+            assert z >> (total + 2) & 1
+            assert z.bit_length() - 1 == 2 * total + 2
+            assert z & -z == 1 << 2
 
-    def test_extended_matches_rebuild(self):
-        base = sum_bitset([3, 5, 6])
-        assert base.extended(7) == sum_bitset([3, 5, 6, 7])
+    def test_extension_matches_rebuild(self):
+        z = difference_mask([3, 5, 6], 21)
+        assert z | z << 7 | z >> 7 == difference_mask([3, 5, 6, 7], 21)
+
+    def test_offset_below_element_sum_rejected(self):
+        with pytest.raises(ValueError, match="below the element sum"):
+            difference_mask([3, 5, 6], 13)
+
+    def test_bits_are_naive_differences_exhaustive(self):
+        # Every S within {1..10}: bit off + d is set iff d = s - t for two
+        # subset sums s, t of S, collisions or not.
+        for elems in _subsets(list(range(1, 11))):
+            off = sum(elems)
+            sums = {sum(c) for r in range(len(elems) + 1) for c in combinations(elems, r)}
+            expected = 0
+            for d in {s - t for s in sums for t in sums}:
+                expected |= 1 << (off + d)
+            assert difference_mask(elems, off) == expected, elems
 
 
 class TestCanExtend:
+    """May one more label join a DSS set?  Read from its difference mask:
+    label a is legal iff bit off + a is clear."""
+
+    @staticmethod
+    def legal(elems, label):
+        off = sum(elems)
+        return difference_mask(elems, off) >> (off + label) & 1 == 0
+
     def test_collision_with_existing_sum(self):
-        assert can_extend(sum_bitset([1, 2]), 3) is False
+        assert self.legal([1, 2], 3) is False
 
     def test_clean_extension(self):
-        assert can_extend(sum_bitset([1, 2]), 4) is True
+        assert self.legal([1, 2], 4) is True
 
     def test_conway_guy_step(self):
-        assert can_extend(sum_bitset([3, 5, 6]), 7) is True
-
-    def test_rejects_non_positive_label(self):
-        with pytest.raises(ValueError):
-            can_extend(sum_bitset([1, 2]), 0)
+        assert self.legal([3, 5, 6], 7) is True
 
     def test_exhaustive_incremental_vs_full(self):
-        # Every S within {1..10} and every label up to 64: extending the
-        # bitmap agrees with deciding the extended set from scratch.
-        universe = list(range(1, 11))
-        for mask in range(1 << len(universe)):
-            elems = [universe[i] for i in range(len(universe)) if mask >> i & 1]
+        # Every DSS S within {1..10} and every label up to 64: the mask's
+        # test agrees with deciding the extended set from scratch.
+        for elems in _subsets(list(range(1, 11))):
             if not is_dss(elems):
                 continue
-            bs = sum_bitset(elems)
+            off = sum(elems)
+            z = difference_mask(elems, off)
             for label in range(1, 65):
                 if label in elems:
                     continue
-                assert can_extend(bs, label) == is_dss(elems + [label])
+                assert (z >> (off + label) & 1 == 0) == is_dss(elems + [label])
 
 
 class TestEnumerate:
@@ -191,11 +198,6 @@ class TestDssSet:
         assert len(ds) == 4
         assert list(ds) == [3, 5, 6, 7]
 
-    def test_bitset_roundtrip(self):
-        ds = DssSet((1, 2, 4))
-        assert ds.bitset() == sum_bitset([1, 2, 4])
-        assert ds.bitset().popcount() == 8
-
 
 class TestSubsetSumCollision:
     def test_none_for_dss(self):
@@ -226,4 +228,4 @@ class TestSubsetSumCollision:
 def test_max_total_guard_is_64_bit():
     assert MAX_TOTAL == 2**63 - 1
     with pytest.raises(OverflowError):
-        SumBitset.empty().extended(3).extended(MAX_TOTAL)
+        DssSet((3, MAX_TOTAL))

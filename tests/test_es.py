@@ -235,19 +235,19 @@ class TestSquareFloor:
 class TestEsTable:
     def test_small_table_is_computed(self):
         table = es_table(3, budget_s=30)
-        assert [table.records[n].value for n in (1, 2, 3)] == [1, 2, 4]
-        assert all(table.records[n].status == COMPUTED for n in (1, 2, 3))
+        assert [table[n].value for n in (1, 2, 3)] == [1, 2, 4]
+        assert all(table[n].status == COMPUTED for n in (1, 2, 3))
 
     def test_medium_table_computes_through_seven(self):
         table = es_table(7, budget_s=300)
-        assert [table.records[n].value for n in range(1, 8)] == [1, 2, 4, 7, 13, 24, 44]
-        assert all(table.records[n].status == COMPUTED for n in range(1, 8))
+        assert [table[n].value for n in range(1, 8)] == [1, 2, 4, 7, 13, 24, 44]
+        assert all(table[n].status == COMPUTED for n in range(1, 8))
         for n in range(1, 8):
-            assert table.records[n].witness.largest == table.records[n].value
+            assert table[n].witness.largest == table[n].value
 
     def test_known_fallback_under_tiny_budget(self):
         table = es_table(9, budget_s=0.05)
-        rec = table.records[9]
+        rec = table[9]
         assert rec.value == 161
         assert rec.status in (COMPUTED, KNOWN)
         if rec.status == KNOWN:
@@ -257,13 +257,13 @@ class TestEsTable:
     def test_beyond_known_range_is_bound_only(self):
         table = es_table(12, budget_s=0.05)
         for n in (10, 11, 12):
-            rec = table.records[n]
+            rec = table[n]
             assert rec.status == BOUND_ONLY
             assert rec.value is None
             assert rec.lower >= erdos_counting_lb(n)
             assert rec.upper == conway_guy_u(n)
         # the chained bound through ES(9) = 161 beats the counting bound at 10
-        assert table.records[10].lower >= 162
+        assert table[10].lower >= 162
 
     def test_record_value_property(self):
         rec = EsRecord(3, COMPUTED, 4, 4, conway_guy_set(3))

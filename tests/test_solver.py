@@ -10,7 +10,7 @@ from arlabel import solver
 from arlabel.check import is_ar_labeling
 from arlabel.dss import difference_mask, is_dss
 from arlabel.errors import UnsupportedSizeError
-from arlabel.es import KNOWN_ES, es_floor
+from arlabel.es import KNOWN_ES, conway_guy_set, es_floor
 from arlabel.graphs import (
     Graph,
     bistar,
@@ -390,17 +390,28 @@ class TestDisjointCover:
 
 
 class TestLabelWheel:
-    def test_small_wheels_via_search(self):
-        for n in (6, 7):
-            labeling = label_wheel(n, SearchConfig(budget_s=120))
-            assert is_ar_labeling(wheel(n), labeling).ok
-            assert max(labeling.labels) == KNOWN_ES[n - 1]
-
-    def test_large_wheels_via_construction(self):
-        for n in (8, 9, 10):
+    def test_labelings_pinned(self):
+        # The Conway-Guy spokes, then the rim lowest label first: one search
+        # node per rim edge, no backtracking.
+        expected = {
+            6: (6, 9, 11, 12, 13, 1, 2, 3, 4, 5),
+            7: (11, 17, 20, 22, 23, 24, 1, 2, 3, 4, 5, 6),
+            8: (20, 31, 37, 40, 42, 43, 44, 1, 2, 3, 4, 5, 6, 7),
+            9: (40, 60, 71, 77, 80, 82, 83, 84, 1, 2, 3, 4, 5, 6, 7, 8),
+            10: (77, 117, 137, 148, 154, 157, 159, 160, 161, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+        }
+        for n, labels in expected.items():
+            g = wheel(n)
             labeling = label_wheel(n, FAST)
-            assert is_ar_labeling(wheel(n), labeling).ok
-            assert max(labeling.labels) == KNOWN_ES[n - 1]
+            assert labeling.labels == labels
+            assert is_ar_labeling(g, labeling).ok
+            assert max(labels) == KNOWN_ES[n - 1]
+            spokes = conway_guy_set(n - 1)
+            assert labels[: n - 1] == spokes.elements
+            fixed = dict(zip(g.incident_edges(0), spokes))
+            out = find_ar_labeling(g, KNOWN_ES[n - 1], FAST, fixed=fixed)
+            assert out.labeling == labeling
+            assert out.stats.nodes == n - 1
 
     def test_spokes_carry_a_dss_set(self):
         labeling = label_wheel(9, FAST)
@@ -408,21 +419,6 @@ class TestLabelWheel:
         hub_labels = [labeling.labels[e] for e in g.incident_edges(0)]
         assert is_dss(hub_labels)
         assert max(hub_labels) == KNOWN_ES[8]
-
-    def test_rim_backtracking_fallback_completes(self):
-        # the fallback behind the greedy fill, a search with the spokes
-        # fixed, must stand on its own
-        from arlabel.es import conway_guy_set
-
-        for n in (8, 9):
-            g = wheel(n)
-            spokes = sorted(conway_guy_set(n - 1).elements)
-            fixed = {g.edges.index((0, i)): lab for i, lab in enumerate(spokes, start=1)}
-            out = find_ar_labeling(g, KNOWN_ES[n - 1], FAST, fixed=fixed)
-            labeling = out.labeling
-            assert is_ar_labeling(wheel(n), labeling).ok
-            assert max(labeling.labels) == KNOWN_ES[n - 1]
-            assert out.stats.nodes == n - 1  # one node per rim edge
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
