@@ -1,24 +1,43 @@
 """Distinct-subset-sum (DSS) primitives.
 
 A set of positive integers is DSS when all 2^n of its subset sums are
-pairwise distinct (the empty subset contributes sum 0).  Two bitmap
-encodings, each packed into a single Python int, make the check cheap:
+pairwise distinct (the empty subset contributes sum 0).  ``is_dss`` and
+``subset_sum_collision`` share one forward scan, ``_first_collision``: it
+adds the elements one at a time and stops at the first element whose
+sums repeat an earlier sum.  Each call holds the sums of the current
+prefix in whichever of two representations costs less:
 
-* **Occupancy** (``is_dss``, ``subset_sum_collision``, ``enumerate_dss_sets``):
-  bit s is set iff some subset sums to s.  Adding an element a maps
-  ``bits`` to ``bits | (bits << a)``, and the extension keeps the sums
-  distinct iff the two halves do not overlap.  This costs O(n * total) bit
-  operations instead of 2^n sum enumeration.  ``DssSet`` validates through
-  ``is_dss``.
-* **Difference mask** (search kernels): bit ``off + d`` is set iff d is a
-  difference of two subset sums, negative d included, so ``off`` must be
-  at least the largest total the set can reach.  The empty set's mask is
-  ``1 << off``; adding a maps ``z`` to ``z | z << a | z >> a``.  A label a
-  may join the set iff bit ``off + a`` is clear, because the new sums
-  s + a avoid every old sum t exactly when a is not t - s.  The labels
-  legal at once are the clear bits of ``z >> off``, so the edge search and
-  the ES search screen all candidates of a node with one AND instead of
-  one shift-and-test per label.
+* **Occupancy bitmap**: bit s of one Python int is set iff some subset
+  sums to s.  Adding an element a maps ``bits`` to ``bits | (bits << a)``,
+  and the extension keeps the sums distinct iff the two halves do not
+  overlap.  A scan costs about n * total bit operations and total bits of
+  memory, so it suits small elements.
+* **Sum set**: a Python ``set`` of the prefix's subset sums.  Adding a
+  inserts s + a for every sum s, and the sums stay distinct iff the set
+  doubles.  A scan costs about 2^n hashed ints, whatever the elements'
+  size, so ``is_dss([1, 3, 2**40])`` hashes eight sums instead of building
+  a 128 GiB bitmap.
+
+The bitmap is taken iff n * total < ``_BITS_PER_SUM`` * 2^n, where
+``_BITS_PER_SUM`` is the measured number of bit operations one hashed sum
+costs.  Both representations report the same first colliding prefix and
+the same smallest repeated sum.  ``subset_sum_collision`` then rebuilds
+the two subsets that reach that sum by meet in the middle over the prefix
+before the colliding element (about 2 * 2^(j/2) sums for a prefix of j).
+That prefix is DSS, so each sum it reaches has exactly one subset: the
+certificate does not depend on the representation or on how the subsets
+are found.
+
+``enumerate_dss_sets`` extends occupancy bitmaps in its own recursion.  The
+search kernels use a third encoding, the **difference mask**: bit
+``off + d`` is set iff d is a difference of two subset sums, negative d
+included, so ``off`` must be at least the largest total the set can reach.
+The empty set's mask is ``1 << off``; adding a maps ``z`` to
+``z | z << a | z >> a``.  A label a may join the set iff bit ``off + a`` is
+clear, because the new sums s + a avoid every old sum t exactly when a is
+not t - s.  The labels legal at once are the clear bits of ``z >> off``, so
+the edge search and the ES search screen all candidates of a node with one
+AND instead of one shift-and-test per label.
 """
 
 from __future__ import annotations
@@ -26,9 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# Element sums must stay inside a 64-bit machine word; beyond that the
-# occupancy bitmap is no longer a sane representation.
+# Element sums must stay inside a 64-bit machine word.
 MAX_TOTAL = 2**63 - 1
+
+# Bit operations of the occupancy scan that cost as much as one sum hashed
+# by the sum-set scan.  Timed on full scans of DSS sets (n = 4..16, totals
+# 2^10..2^40; 2-core x86-64 host, CPython 3.11): the two scans break even
+# at n * total / 2^n between 2^13 and 2^14.
+_BITS_PER_SUM = 2**13
 
 
 def _checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
@@ -85,14 +109,40 @@ def is_dss(elements: Iterable[int]) -> bool:
     Empty input is trivially DSS.  Raises ValueError on duplicates or
     non-positive entries, OverflowError when the total leaves 64-bit range.
     """
-    elems = _checked_elements(elements)
-    bits = 1
-    for a in elems:
-        shifted = bits << a
-        if bits & shifted:
-            return False
-        bits |= shifted
-    return True
+    return _first_collision(_checked_elements(elements)) is None
+
+
+def _bitmap_is_cheaper(n: int, total: int) -> bool:
+    """Whether the occupancy scan of n elements summing to ``total`` costs
+    less than the sum-set scan (module docstring)."""
+    return n * total < _BITS_PER_SUM << n
+
+
+def _first_collision(vals: tuple[int, ...]) -> tuple[int, int] | None:
+    """Where the subset sums of ``vals`` first repeat, or None if they never do.
+
+    Returns (j, t): ``vals[:j]`` is DSS, ``vals[:j + 1]`` is not, and t is
+    the smallest sum that two subsets of ``vals[:j + 1]`` share.  Elements
+    are taken in the order given and must be positive.
+    """
+    if _bitmap_is_cheaper(len(vals), sum(vals)):
+        bits = 1
+        for j, a in enumerate(vals):
+            shifted = bits << a
+            overlap = bits & shifted
+            if overlap:
+                return j, (overlap & -overlap).bit_length() - 1
+            bits |= shifted
+        return None
+    sums = {0}
+    for j, a in enumerate(vals):
+        size = len(sums)
+        shifted = [s + a for s in sums]
+        sums.update(shifted)
+        if len(sums) < 2 * size:
+            # The repeated sums are the shifted ones that were already there.
+            return j, min({s - a for s in shifted}.intersection(shifted))
+    return None
 
 
 def difference_mask(elements: Iterable[int], off: int) -> int:
@@ -154,33 +204,32 @@ def subset_sum_collision(
     for a in vals:
         if a < 1:
             raise ValueError(f"value {a} is not a positive integer")
-    occs = [1]
-    bits = 1
-    for j, a in enumerate(vals):
-        shifted = bits << a
-        overlap = bits & shifted
-        if overlap:
-            s = (overlap & -overlap).bit_length() - 1
-            left = set(_rebuild_subset(vals, occs, j, s))
-            right = set(_rebuild_subset(vals, occs, j, s - a)) | {j}
-            common = left & right
-            return tuple(sorted(left - common)), tuple(sorted(right - common))
-        bits |= shifted
-        occs.append(bits)
-    return None
+    hit = _first_collision(vals)
+    if hit is None:
+        return None
+    j, t = hit
+    # The two subsets are disjoint: an index in both could be dropped from
+    # both, leaving a smaller sum reached twice than the smallest, t.
+    return _subset_with_sum(vals[:j], t), _subset_with_sum(vals[:j], t - vals[j]) + (j,)
 
 
-def _rebuild_subset(
-    vals: tuple[int, ...], occs: list[int], limit: int, target: int
-) -> list[int]:
-    # Walk the prefix occupancies backwards: keep element i only when the
-    # target is unreachable without it.
-    take: list[int] = []
-    for i in range(limit - 1, -1, -1):
-        if (occs[i] >> target) & 1:
-            continue
-        take.append(i)
-        target -= vals[i]
-    if target != 0:
-        raise AssertionError("subset reconstruction failed")
-    return take
+def _subset_with_sum(prefix: tuple[int, ...], target: int) -> tuple[int, ...]:
+    """Indices, ascending, of the one subset of the DSS tuple ``prefix`` that
+    sums to ``target``, by meet in the middle over its two halves."""
+    half = len(prefix) // 2
+    low = _sums_with_masks(prefix[:half], 0)
+    for s, mask in _sums_with_masks(prefix[half:], half).items():
+        rest = low.get(target - s)
+        if rest is not None:
+            mask |= rest
+            return tuple(i for i in range(len(prefix)) if mask >> i & 1)
+    raise AssertionError("subset reconstruction failed")
+
+
+def _sums_with_masks(part: tuple[int, ...], first: int) -> dict[int, int]:
+    # Every subset sum of a DSS part, mapped to the bitmask of its indices
+    # (part[0] has index ``first``).
+    sums = {0: 0}
+    for i, a in enumerate(part, first):
+        sums.update([(s + a, m | 1 << i) for s, m in sums.items()])
+    return sums

@@ -62,6 +62,31 @@ def naive_is_dss(values) -> bool:
     return _sums_distinct_cached(tuple(sorted(values)))
 
 
+def naive_collision(values) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The certificate ``subset_sum_collision`` must give, by enumeration.
+
+    For each prefix in order, list the index subsets of every sum.  At the
+    first prefix where a sum has two subsets, take the smallest such sum;
+    exactly one of its two subsets holds the prefix's last index.  Drop the
+    indices they share and return (the other one, that one).
+    """
+    vals = list(values)
+    for j in range(len(vals)):
+        by_sum: dict[int, list[tuple[int, ...]]] = {}
+        for r in range(j + 2):
+            for c in combinations(range(j + 1), r):
+                by_sum.setdefault(sum(vals[i] for i in c), []).append(c)
+        repeated = [s for s, subs in by_sum.items() if len(subs) > 1]
+        if repeated:
+            without, with_last = sorted(by_sum[min(repeated)], key=lambda c: j in c)
+            common = set(without) & set(with_last)
+            return (
+                tuple(i for i in without if i not in common),
+                tuple(i for i in with_last if i not in common),
+            )
+    return None
+
+
 def naive_subset_sums(values) -> list[int]:
     return sorted(sum(c) for r in range(len(values) + 1) for c in combinations(values, r))
 

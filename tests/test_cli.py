@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from arlabel import dss
 from arlabel.check import Labeling, save_labeling
 from arlabel.cli import main, parse_duration
 from arlabel.graphs import path, save_graph, star
@@ -81,6 +82,23 @@ class TestDssCommands:
         code, out = run(capsys, "dss", "check", "1", "2", "3")
         assert code == 1
         assert "[1, 2]" in out and "[3]" in out
+
+    @pytest.mark.parametrize("big", [2**40, 2**62])
+    def test_check_large_elements_dss(self, capsys, big):
+        # The bitmap would need `big` bits; the assertion comes first so a
+        # wrong cost rule fails here instead of allocating it.
+        assert not dss._bitmap_is_cheaper(3, 1 + 3 + big)
+        code, out = run(capsys, "dss", "check", "1", "3", str(big))
+        assert code == 0
+        assert out.startswith("DSS")
+
+    def test_check_large_elements_collision(self, capsys):
+        big = 2**40
+        assert not dss._bitmap_is_cheaper(4, 1 + 2 + 3 + big)
+        code, out = run(capsys, "dss", "check", "1", "2", "3", str(big), "--format", "machine")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["collision"] == [[1, 2], [3]] and doc["sum"] == 3
 
     def test_check_duplicates_rejected(self, capsys):
         code, _ = run(capsys, "dss", "check", "2", "2")

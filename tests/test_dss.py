@@ -3,12 +3,14 @@ agreement with the naive hash-set oracle."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arlabel import dss
 from arlabel.dss import (
     MAX_TOTAL,
     DssSet,
@@ -17,7 +19,7 @@ from arlabel.dss import (
     is_dss,
     subset_sum_collision,
 )
-from conftest import naive_is_dss
+from conftest import naive_collision, naive_is_dss
 
 
 class TestIsDss:
@@ -223,6 +225,76 @@ class TestSubsetSumCollision:
         assert a != b
         assert not set(a) & set(b)
         assert sum(values[i] for i in a) == sum(values[i] for i in b)
+
+
+def uses_bitmap(values) -> bool:
+    return dss._bitmap_is_cheaper(len(values), sum(values))
+
+
+def small_values(rng: random.Random) -> list[int]:
+    """Up to ten values in 1..60, unsorted, duplicates allowed."""
+    return [rng.randint(1, 60) for _ in range(rng.randint(1, 10))]
+
+
+def large_values(rng: random.Random) -> list[int]:
+    """Up to eight values below 2^40: small values scaled, so that their
+    collisions survive, and some of them moved by one."""
+    scale = rng.randint(2**30, 2**34)
+    return [scale * v + (rng.random() < 0.2) for v in small_values(rng)[:8]]
+
+
+class TestDispatch:
+    """Which scan the cost rule picks; nothing here builds a large bitmap."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16, 40])
+    def test_both_sides_of_the_constant(self, n):
+        # The bitmap is taken iff n * total < _BITS_PER_SUM * 2^n.
+        edge = -(-(dss._BITS_PER_SUM << n) // n)  # least total at the edge
+        assert dss._bitmap_is_cheaper(n, edge - 1)
+        assert not dss._bitmap_is_cheaper(n, edge)
+
+    def test_huge_third_element_takes_the_sum_set(self):
+        assert not uses_bitmap([1, 3, 2**30])
+
+    def test_cover_domain_sets_take_the_bitmap(self):
+        # Every domain set of the (6, 6) cover search.
+        assert all(uses_bitmap(s.elements) for s in enumerate_dss_sets(6, 36))
+
+    def test_sixteen_elements_near_two_to_twenty_take_the_bitmap(self):
+        # 15 DSS elements 2^20 - 2^i and one that collides: the shape of the
+        # heaviest set the verify benchmark checks.
+        assert uses_bitmap([2**20 - 2**i for i in range(15)] + [2**20 - 5])
+
+
+class TestCertificatesAcrossPaths:
+    """Both scans give the certificate the naive enumeration gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitmap_path_matches_naive(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            values = small_values(rng)
+            assert uses_bitmap(values)
+            assert subset_sum_collision(values) == naive_collision(values), values
+            if len(set(values)) == len(values):
+                assert is_dss(values) == naive_is_dss(values), values
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sum_set_path_matches_naive(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(150):
+            values = large_values(rng)
+            assert not uses_bitmap(values)
+            assert subset_sum_collision(values) == naive_collision(values), values
+            if len(set(values)) == len(values):
+                assert is_dss(values) == naive_is_dss(values), values
+
+    def test_both_paths_see_collisions_and_clean_sets(self):
+        # The seeded inputs above are not all DSS and not all colliding.
+        rng = random.Random(0)
+        for draw in (small_values, large_values):
+            found = {subset_sum_collision(draw(rng)) is None for _ in range(200)}
+            assert found == {True, False}
 
 
 def test_max_total_guard_is_64_bit():
