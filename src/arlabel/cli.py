@@ -146,11 +146,7 @@ def cmd_ari(args: argparse.Namespace) -> int:
         g = load_graph(args.file)
     else:
         g = build_family(args.family)
-    cfg = SearchConfig(
-        budget_s=args.budget,
-        symmetry_breaking=args.symmetry_breaking,
-    )
-    result = ari(g, cfg)
+    result = ari(g, SearchConfig(budget_s=args.budget))
     m = g.edge_count()
     machine = {
         "graph": g.name or "graph",
@@ -250,8 +246,6 @@ def make_parser() -> argparse.ArgumentParser:
         "multipartite A,B,C | wheel N | cycle N | path N",
     )
     p_ari.add_argument("--file", help="graph file instead of a family spec")
-    p_ari.add_argument("--symmetry-breaking", action="store_true",
-                       help="pin the top label to one edge on edge-transitive graphs")
     add_common(p_ari, 60.0)
     p_ari.set_defaults(func=cmd_ari)
 

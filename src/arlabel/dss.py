@@ -89,6 +89,14 @@ class DssSet:
             raise ValueError(f"{elems} is not a distinct-subset-sum set")
         object.__setattr__(self, "elements", elems)
 
+    @classmethod
+    def _proved(cls, elements: tuple[int, ...]) -> DssSet:
+        """A DssSet of an increasing tuple already proved DSS, built
+        without checking it again."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "elements", elements)
+        return ds
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
@@ -164,7 +172,8 @@ def enumerate_dss_sets(size: int, cap: int) -> list[DssSet]:
     """All size-element DSS subsets of {1..cap}, in lexicographic order.
 
     The recursion only ever stands on DSS prefixes (every subset of a DSS set
-    is DSS), so pruning with the incremental test is exact.
+    is DSS), so pruning with the incremental test is exact, and each set it
+    completes is DSS by that test: it is not checked again.
     """
     if size < 1:
         raise ValueError(f"size {size} must be at least 1")
@@ -173,19 +182,21 @@ def enumerate_dss_sets(size: int, cap: int) -> list[DssSet]:
     results: list[DssSet] = []
     chosen: list[int] = []
 
-    def extend(start: int, bits: int, remaining: int) -> None:
+    # extend is handed itself rather than closing over its own name, so no
+    # reference cycle keeps the results alive after the call.
+    def extend(start: int, bits: int, remaining: int, extend) -> None:
         if remaining == 0:
-            results.append(DssSet(tuple(chosen)))
+            results.append(DssSet._proved(tuple(chosen)))
             return
         for a in range(start, cap - remaining + 2):
             shifted = bits << a
             if bits & shifted:
                 continue
             chosen.append(a)
-            extend(a + 1, bits | shifted, remaining - 1)
+            extend(a + 1, bits | shifted, remaining - 1, extend)
             chosen.pop()
 
-    extend(1, 1, size)
+    extend(1, 1, size, extend)
     return results
 
 

@@ -160,7 +160,9 @@ def _witness_with_max(
     nodes = 0
     monotonic = time.monotonic
 
-    def down(z: int, hi: int, rem: int, sq: int) -> tuple[int, ...] | None:
+    # down is handed itself rather than closing over its own name, so no
+    # reference cycle outlives the search.
+    def down(z: int, hi: int, rem: int, sq: int, down) -> tuple[int, ...] | None:
         nonlocal nodes
         lo = max(floors[rem], _square_floor(rem, need[rem] - sq))
         if lo > hi:
@@ -174,12 +176,12 @@ def _witness_with_max(
                 raise SearchTimeout(nodes)
             if rem == 1:
                 return (a,)
-            rest = down(z | z << a | z >> a, a - 1, rem - 1, sq + a * a)
+            rest = down(z | z << a | z >> a, a - 1, rem - 1, sq + a * a, down)
             if rest is not None:
                 return rest + (a,)
         return None
 
-    tail = down(difference_mask((x,), off), x - 1, n - 1, x * x)
+    tail = down(difference_mask((x,), off), x - 1, n - 1, x * x, down)
     return (None if tail is None else tail + (x,)), nodes
 
 

@@ -35,9 +35,6 @@ class Graph:
     vertex_count: int
     edges: tuple[Edge, ...]
     name: str | None = field(default=None, compare=False)
-    # Set only by the complete / complete-bipartite constructors; gates the
-    # optional symmetry-breaking optimization in the solver.
-    edge_transitive: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -66,6 +63,15 @@ class Graph:
             lists[u].append(i)
             lists[v].append(i)
         return tuple(tuple(l) for l in lists)
+
+    @cached_property
+    def edge_orbits(self) -> tuple[int, ...]:
+        """Per edge, the smallest edge index in its orbit under Aut(G)."""
+        # Only the edge search needs orbits, so the module is imported here:
+        # other commands do not load it at start-up.
+        from .orbits import edge_orbits
+
+        return edge_orbits(self)
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -122,14 +128,14 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
-    return Graph(n, edges, name=f"K_{n}", edge_transitive=True)
+    return Graph(n, edges, name=f"K_{n}")
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete bipartite graph needs nonempty parts")
     edges = tuple((u, v) for u in range(m) for v in range(m, m + n))
-    return Graph(m + n, edges, name=f"K_{{{m},{n}}}", edge_transitive=True)
+    return Graph(m + n, edges, name=f"K_{{{m},{n}}}")
 
 
 def complete_multipartite(part_sizes: list[int] | tuple[int, ...]) -> Graph:

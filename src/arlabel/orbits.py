@@ -1,0 +1,128 @@
+"""Edge orbits of a graph's automorphism group, from the graph alone.
+
+Colour refinement plus individualisation (McKay & Piperno, "Practical graph
+isomorphism, II", 2014).  Refinement splits vertex colour classes by their
+neighbours' colours until no class splits; every automorphism maps each
+class onto itself.  Two edges share an orbit only once a vertex permutation
+that maps one onto the other has been found and checked edge by edge, so an
+orbit is never larger than the true one.  The search for that permutation
+is exhaustive, so it is never smaller either.
+"""
+
+from __future__ import annotations
+
+from .graphs import Edge, Graph
+
+
+def _refine(
+    adj: list[list[int]], colours: list[int]
+) -> tuple[list[int], tuple[tuple, ...]]:
+    """The coarsest equitable refinement of a vertex colouring, and its trace.
+
+    Each round gives a vertex the signature (its colour, its neighbours'
+    colours sorted) and renames the signatures by rank, until a round
+    splits no class.  The trace lists each round's signatures, sorted.  A
+    permutation that maps one colouring onto another maps their
+    refinements onto each other, with equal traces.  Two colourings with
+    equal traces name their classes alike, so only a vertex of colour c
+    can be the image of a vertex of colour c.
+    """
+    classes = len(set(colours))
+    trace = []
+    while True:
+        sigs = [(c, tuple(sorted(colours[w] for w in nbrs))) for c, nbrs in zip(colours, adj)]
+        ranks = sorted(set(sigs))
+        trace.append(tuple(sorted(sigs)))
+        name = {sig: i for i, sig in enumerate(ranks)}
+        colours = [name[sig] for sig in sigs]
+        if len(ranks) == classes:
+            return colours, tuple(trace)
+        classes = len(ranks)
+
+
+def _automorphism(
+    adj: list[list[int]], edges: set[Edge], left: list[int], right: list[int]
+) -> list[int] | None:
+    """An automorphism that maps every vertex of colour c in ``left`` to a
+    vertex of colour c in ``right``, or None when there is none.
+
+    Refines both colourings, then tries the permutation that pairs the
+    vertices of each colour in index order: on a discrete colouring it is
+    the only candidate, and on a symmetric graph it often works before.
+    Otherwise it individualises the first vertex of the smallest colour
+    class that is not a singleton against each vertex of that class on the
+    right in turn.  A permutation is returned only if it maps every edge to
+    an edge.
+    """
+    left, trace = _refine(adj, left)
+    right, other = _refine(adj, right)
+    if trace != other:
+        return None
+    members: dict[int, list[int]] = {}
+    for w, c in enumerate(right):
+        members.setdefault(c, []).append(w)
+    pick = {c: iter(ws) for c, ws in members.items()}
+    perm = [next(pick[c]) for c in left]
+    if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges):
+        return perm
+    cls = min((c for c, ws in members.items() if len(ws) > 1), default=None)
+    if cls is None:
+        return None
+    fresh = len(left)
+    v = left.index(cls)
+    pinned = left[:v] + [fresh] + left[v + 1 :]
+    for w in members[cls]:
+        perm = _automorphism(adj, edges, pinned, right[:w] + [fresh] + right[w + 1 :])
+        if perm is not None:
+            return perm
+    return None
+
+
+def edge_orbits(g: Graph) -> tuple[int, ...]:
+    """Per edge of g, the smallest edge index in its orbit under Aut(g).
+
+    Edges are taken in index order.  An edge not yet in an earlier edge's
+    orbit is compared with each earlier orbit's first edge whose refinement
+    trace, with both endpoints given a fresh colour, is the same as its own
+    (an automorphism keeps that trace).  The first automorphism found that
+    maps that edge onto it merges, for every edge, the orbits of the edge
+    and its image.
+    """
+    n = g.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    edges = set(g.edges)
+    index = {e: i for i, e in enumerate(g.edges)}
+    base, _ = _refine(adj, [0] * n)
+    traces = []
+    for u, v in g.edges:
+        c = base.copy()
+        c[u] = c[v] = n
+        traces.append(_refine(adj, c)[1])
+    orbit = list(range(len(g.edges)))
+    for f, (x, y) in enumerate(g.edges):
+        if orbit[f] != f:
+            continue
+        for e in range(f):
+            if orbit[e] != e or traces[e] != traces[f]:
+                continue
+            u, v = g.edges[e]
+            left = base.copy()
+            left[u], left[v] = n, n + 1
+            right = base.copy()
+            right[x], right[y] = n, n + 1
+            perm = _automorphism(adj, edges, left, right)
+            if perm is None:
+                right[x], right[y] = n + 1, n
+                perm = _automorphism(adj, edges, left, right)
+            if perm is None:
+                continue
+            for i, (a, b) in enumerate(g.edges):
+                j = index[tuple(sorted((perm[a], perm[b])))]
+                lo, hi = sorted((orbit[i], orbit[j]))
+                if lo != hi:
+                    orbit = [lo if o == hi else o for o in orbit]
+            break
+    return tuple(orbit)

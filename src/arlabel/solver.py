@@ -2,20 +2,26 @@
 special-purpose constructions (bipartite disjoint covers, wheel labelings as
 the search with the spokes fixed, embedding into an AR-supergraph).
 
-The decision core is ``find_ar_labeling``: backtracking over edges ordered by
-decreasing endpoint-degree sum, trying labels in ascending order.  Each
-vertex keeps a difference mask of its labels' subset sums (see the dss
-module docstring), so the labels legal at both endpoints of an edge come
-from one AND of the free labels against the two masks.  A forward check then
-skips a label after which an endpoint with r unlabeled edges has no r free
-labels that are DSS together with its labels so far (``can_complete``, an
-exact search on the endpoint's mask).  The search remembers those answers
-in a memo of at most ``_COMPLETION_MEMO_CAP`` entries that lives as long as
-one ``find_ar_labeling`` call.  Both cuts remove only subtrees without a
-labeling, so the first witness is the one a plain 1..k scan would find.  A
-completed assignment is an AR-labeling by construction (and is
-re-verified); an exhausted search is a refutation certificate for that label
-budget.
+The decision core is the edge kernel, ``_search``: backtracking over edges
+ordered by decreasing endpoint-degree sum, trying labels in ascending
+order.  Each vertex keeps a difference mask of its labels' subset sums (see
+the dss module docstring), so the labels legal at both endpoints of an edge
+come from one AND of the free labels against the two masks.  A forward
+check then skips a label after which an endpoint with r unlabeled edges has
+no r free labels that are DSS together with its labels so far
+(``can_complete``, an exact search on the endpoint's mask).  A kernel run
+remembers those answers in a memo of at most ``_COMPLETION_MEMO_CAP``
+entries, freed when the run returns.  Both cuts remove only subtrees
+without a labeling, so a run's first witness is the one a plain 1..k scan
+would find.
+
+``find_ar_labeling`` runs the kernel once, or, when label k must be used,
+once per edge orbit of the graph's automorphism group with k pinned to the
+orbit's first edge (``Graph.edge_orbits``).  Every labeling is the image of
+one with k on such an edge, so the pin only skips symmetric copies; the
+witness is then the first of the first orbit that has one.  A completed
+assignment is an AR-labeling by construction (and is re-verified); an
+exhausted search is a refutation certificate for that label budget.
 """
 
 from __future__ import annotations
@@ -42,10 +48,9 @@ _COMPLETION_MEMO_CAP = 1 << 14
 
 @dataclass
 class SearchConfig:
-    """Solver knobs: wall-clock budget, optional symmetry cut."""
+    """Solver knobs: the wall-clock budget."""
 
     budget_s: float = 60.0
-    symmetry_breaking: bool = False
 
     def __post_init__(self) -> None:
         if self.budget_s <= 0:
@@ -197,10 +202,14 @@ def find_ar_labeling(
     range, a label outside 1..k or a repeated label raises ValueError; fixed
     labels that already break DSS at some vertex give an exhausted refutation.
 
-    ``_require_label_k`` marks that any witness must use label k (true while
-    iteratively deepening, where k-1 is already refuted); combined with an
-    edge-transitive graph and ``cfg.symmetry_breaking`` it pins label k to
-    the first search edge.
+    When some edge must carry label k and nothing is fixed, the kernel runs
+    once per edge orbit of Aut(g) (``Graph.edge_orbits``), with k on the
+    orbit's first edge in search order, orbits in the order of those edges.
+    An automorphism maps a labeling with k on any edge of the orbit to one
+    with k on that edge, so the runs together miss no labeling.  Label k
+    must be used when k == m (the labels are then 1..m) or when the caller
+    sets ``_require_label_k`` because k-1 is already refuted, as iterative
+    deepening does.  The runs share the budget and add up their stats.
     """
     cfg = cfg or SearchConfig()
     if k < 1:
@@ -225,14 +234,43 @@ def find_ar_labeling(
         stats.counting_refuted = True
         return SearchOutcome(None, True, stats)
 
-    order = _search_order(g)
-    # Pinning label k to the first search edge is sound on an edge-transitive
-    # graph once some edge must carry k: either the deepening context says so
-    # (k-1 already refuted) or k == m forces a bijection.  Other fixed labels
-    # break the symmetry the pin relies on.
-    if not fixed and cfg.symmetry_breaking and g.edge_transitive and (_require_label_k or k == m):
-        fixed = {order[0]: k}
+    pins = [fixed]
+    if not fixed and (_require_label_k or k == m):
+        orbits = g.edge_orbits
+        firsts: dict[int, int] = {}
+        for e in _search_order(g):
+            firsts.setdefault(orbits[e], e)
+        pins = [{e: k} for e in firsts.values()]
+    deadline = time.monotonic() + cfg.budget_s
+    labels = None
+    try:
+        for pin in pins:
+            labels = _search(g, k, pin, stats, deadline)
+            if labels is not None:
+                break
+    except SearchTimeout:
+        return SearchOutcome(None, False, stats)
+    if labels is None:
+        return SearchOutcome(None, True, stats)
+    labeling = Labeling(tuple(labels))
+    verdict = is_ar_labeling(g, labeling)
+    if not verdict.ok:  # pragma: no cover - solver invariant
+        raise RuntimeError(f"internal: solver emitted an invalid labeling: {verdict.describe()}")
+    return SearchOutcome(labeling, True, stats)
 
+
+def _search(
+    g: Graph, k: int, fixed: dict[int, int], stats: SearchStats, deadline: float
+) -> list[int] | None:
+    """The edge kernel: the first labeling of g from {1..k} that carries
+    ``fixed``, under the search order, or None when there is none.
+
+    Adds its counts to ``stats`` and raises SearchTimeout once ``deadline``
+    has passed.  ``find_ar_labeling`` checks the arguments, applies the
+    counting prune and pins label k by orbit; this function does none of
+    that.
+    """
+    order = _search_order(g)
     # Difference masks (see the dss module docstring): off covers the
     # largest subset sum any vertex can reach.
     off = k * g.max_degree()
@@ -241,7 +279,7 @@ def find_ar_labeling(
     for e, lab in fixed.items():
         u, v = g.edges[e]
         if (z[u] | z[v]) >> (off + lab) & 1:
-            return SearchOutcome(None, True, stats)
+            return None
         z[u] |= z[u] << lab | z[u] >> lab
         z[v] |= z[v] << lab | z[v] >> lab
         used |= 1 << lab
@@ -260,7 +298,6 @@ def find_ar_labeling(
     steps.reverse()
     depth = len(steps)
     assigned = [0] * depth
-    deadline = time.monotonic() + cfg.budget_s
     monotonic = time.monotonic
     # can_complete's answers in this search.  A difference mask is symmetric
     # about off, so its upper half holds all of it, and only the legal free
@@ -278,7 +315,9 @@ def find_ar_labeling(
             ok = memo[key] = can_complete(nz, off, legal, r, stats, deadline)
         return ok
 
-    def dfs(i: int, used: int) -> bool:
+    # dfs is handed itself rather than closing over its own name, so no
+    # reference cycle outlives the search: its memo is freed on return.
+    def dfs(i: int, used: int, dfs) -> bool:
         if i == depth:
             return True
         stats.nodes += 1
@@ -311,7 +350,7 @@ def find_ar_labeling(
             z[u] = nzu
             z[v] = nzv
             assigned[i] = lab
-            if dfs(i + 1, used | low):
+            if dfs(i + 1, used | low, dfs):
                 # The scan stopped at lab: only the blocked labels below it
                 # were tested.
                 stats.occupancy_prunes += (blocked & (low - 1)).bit_count()
@@ -321,26 +360,14 @@ def find_ar_labeling(
         stats.occupancy_prunes += blocked.bit_count()
         return False
 
-    try:
-        found = dfs(0, used)
-    except SearchTimeout:
-        return SearchOutcome(None, False, stats)
-    finally:
-        # dfs refers to itself, so only the cycle collector would free the
-        # memo it holds.
-        memo.clear()
-    if not found:
-        return SearchOutcome(None, True, stats)
-    labels = [0] * m
+    if not dfs(0, used, dfs):
+        return None
+    labels = [0] * g.edge_count()
     for e, lab in fixed.items():
         labels[e] = lab
     for e, lab in zip(free_edges, assigned):
         labels[e] = lab
-    labeling = Labeling(tuple(labels))
-    verdict = is_ar_labeling(g, labeling)
-    if not verdict.ok:  # pragma: no cover - solver invariant
-        raise RuntimeError(f"internal: solver emitted an invalid labeling: {verdict.describe()}")
-    return SearchOutcome(labeling, True, stats)
+    return labels
 
 
 def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
@@ -363,7 +390,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             return AriResult(g, BOUNDS_ONLY, k, upper, None, total)
-        step_cfg = SearchConfig(budget_s=remaining, symmetry_breaking=cfg.symmetry_breaking)
+        step_cfg = SearchConfig(budget_s=remaining)
         outcome = find_ar_labeling(g, k, step_cfg, _require_label_k=True)
         total.nodes += outcome.stats.nodes
         total.occupancy_prunes += outcome.stats.occupancy_prunes
@@ -427,7 +454,9 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
 
     chosen: list[int] = []
 
-    def cover(used_mask: int) -> bool:
+    # cover is handed itself rather than closing over its own name, so no
+    # reference cycle keeps the candidates alive after the call.
+    def cover(used_mask: int, cover) -> bool:
         if len(chosen) == m:
             return True
         free = full & ~used_mask
@@ -437,12 +466,12 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
             if cand_mask & used_mask:
                 continue
             chosen.append(i)
-            if cover(used_mask | cand_mask):
+            if cover(used_mask | cand_mask, cover):
                 return True
             chosen.pop()
         return False
 
-    if cover(0):
+    if cover(0, cover):
         return [candidates[i] for i in chosen]
     return None
 

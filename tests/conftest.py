@@ -10,6 +10,7 @@ required to return the very same first witness.
 
 from __future__ import annotations
 
+import random
 import time
 from functools import lru_cache
 from itertools import combinations
@@ -21,6 +22,7 @@ from arlabel.graphs import (
     bistar,
     complete,
     complete_bipartite,
+    complete_multipartite,
     cycle,
     path,
     star,
@@ -195,4 +197,24 @@ def small_family_graphs(max_edges: int = 6, include_slow: bool = True) -> list[G
             continue
         seen.add(key)
         out.append(g)
+    return out
+
+
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return Graph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges), name=g.name)
+
+
+def bench_file_graphs(seed: int = 1) -> list[Graph]:
+    """Graphs like the benchmark's six files: B_{3,3}, K_{3,4}, K_{4,4},
+    K_{2,2,2} and W_6 under vertex permutations drawn from ``seed``, and
+    B_{4,4} with vertex v renamed v+1 mod 10."""
+    rng = random.Random(seed)
+    out = []
+    for g in (bistar(3, 3), complete_bipartite(3, 4), complete_bipartite(4, 4),
+              complete_multipartite([2, 2, 2]), wheel(6)):
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        out.append(relabeled(g, perm))
+    out.append(relabeled(bistar(4, 4), [(v + 1) % 10 for v in range(10)]))
     return out

@@ -196,10 +196,14 @@ class TestAriCommand:
         code, _ = run(capsys, "ari", "star")
         assert code == 2
 
-    def test_budget_exhaustion_exit(self, capsys, slow_clock):
-        code, out = run(capsys, "ari", "complete", "6", "--budget", "1.5s")
+    def test_budget_exhaustion_exit(self, capsys, slow_clock, tmp_path):
+        report = tmp_path / "ari.json"
+        code, out = run(capsys, "ari", "complete", "6", "--budget", "1.5s", "--output", str(report))
         assert code == 3
         assert "bounds-only" in out
+        # The search reached a clock check: one every 1024 nodes or probes.
+        search = json.loads(report.read_text())["search"]
+        assert search["nodes"] >= 1024 or search["probes"] >= 1024
 
     def test_edge_cap_is_input_error(self, capsys):
         code, _ = run(capsys, "ari", "complete", "10")

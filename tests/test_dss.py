@@ -178,6 +178,20 @@ class TestEnumerate:
         assert sets == sorted(set(sets))
         assert all(is_dss(s) for s in sets)
 
+    def test_results_are_not_checked_twice(self, monkeypatch):
+        # The recursion proves each set DSS, so building the results runs
+        # no second check; each one still passes is_dss and equals the
+        # DssSet a user would build from it.
+        sets = enumerate_dss_sets(5, 16)
+        calls = []
+        checked = dss.is_dss
+        monkeypatch.setattr(dss, "is_dss", lambda e: calls.append(e) or checked(e))
+        assert enumerate_dss_sets(5, 16) == sets
+        assert calls == []
+        monkeypatch.undo()
+        assert len(sets) > 100
+        assert all(is_dss(s.elements) and s == DssSet(s.elements) for s in sets)
+
     def test_size_above_cap_rejected(self):
         with pytest.raises(ValueError):
             enumerate_dss_sets(4, 3)

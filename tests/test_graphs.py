@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +22,7 @@ from arlabel.graphs import (
     star,
     wheel,
 )
+from conftest import bench_file_graphs, relabeled, small_family_graphs
 
 
 class TestFamilies:
@@ -88,11 +91,88 @@ class TestFamilies:
         with pytest.raises(ValueError):
             complete_multipartite([4])
 
-    def test_edge_transitive_tags(self):
-        assert complete(4).edge_transitive
-        assert complete_bipartite(2, 3).edge_transitive
-        assert not wheel(5).edge_transitive
-        assert not bistar(2, 2).edge_transitive
+
+
+def _orbit_partition(g: Graph) -> set[frozenset[int]]:
+    classes: dict[int, set[int]] = {}
+    for e, o in enumerate(g.edge_orbits):
+        classes.setdefault(o, set()).add(e)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _brute_force_orbits(g: Graph) -> set[frozenset[int]]:
+    """Edge orbits from every vertex permutation that maps edges to edges."""
+    edges = set(g.edges)
+    index = {e: i for i, e in enumerate(g.edges)}
+    orbit = {i: {i} for i in range(len(g.edges))}
+    for perm in permutations(range(g.vertex_count)):
+        image = [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges]
+        if set(image) != edges:
+            continue
+        for i, e in enumerate(image):
+            merged = orbit[i] | orbit[index[e]]
+            for j in merged:
+                orbit[j] = merged
+    return {frozenset(c) for c in orbit.values()}
+
+
+class TestEdgeOrbits:
+    def test_orbit_counts(self):
+        cases = [(complete(n), 1) for n in range(2, 8)]
+        cases += [(complete_bipartite(a, b), 1) for a in range(1, 5) for b in range(a, 6)]
+        cases += [(wheel(4), 1)]  # W_4 is K_4
+        cases += [(wheel(n), 2) for n in range(5, 11)]  # spokes, rim
+        cases += [(bistar(a, a), 2) for a in range(1, 6)]  # center edge, pendants
+        cases += [(bistar(a, b), 3) for a in range(1, 5) for b in range(a + 1, 6)]
+        cases += [(path(n), n // 2) for n in range(2, 10)]  # e and its mirror
+        cases += [(cycle(n), 1) for n in range(3, 9)]
+        cases += [(complete_multipartite([1, 1, 1, 3]), 2), (complete_multipartite([2, 2, 3]), 2)]
+        cases += [(complete_multipartite([3, 3, 3]), 1)]
+        for g, count in cases:
+            assert len(set(g.edge_orbits)) == count, g.name
+
+    def test_orbit_ids_are_each_orbits_first_edge(self):
+        for g in (bistar(2, 3), wheel(6), path(6), complete_multipartite([2, 2, 3])):
+            assert all(o <= e and g.edge_orbits[o] == o for e, o in enumerate(g.edge_orbits))
+
+    def test_matches_brute_force_on_small_graphs(self):
+        # Every corpus graph on at most 7 vertices, plus regular graphs, on
+        # which colour refinement leaves every vertex one colour, with one
+        # orbit (two triangles) or two (the triangular prism: triangle
+        # edges and rungs; a triangle beside a square), and a few without
+        # regularity or connectivity.
+        graphs = [g for g in small_family_graphs() if g.vertex_count <= 7]
+        graphs += [
+            Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
+            Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5))),
+            Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))),
+            Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6))),
+            Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3))),
+            Graph(5, ((0, 1), (2, 3))),
+        ]
+        assert [len(_brute_force_orbits(g)) for g in graphs[-6:-3]] == [1, 2, 2]
+        for g in graphs:
+            assert _orbit_partition(g) == _brute_force_orbits(g), (g.name, g.edges)
+
+    def test_relabeled_copies_keep_the_partition(self):
+        rng = random.Random(7)
+        families = [bistar(3, 3), bistar(4, 4), complete_bipartite(3, 4), wheel(6),
+                    complete_multipartite([2, 2, 2]), complete_multipartite([1, 1, 1, 3]), path(7)]
+        for g in families + bench_file_graphs():
+            for _ in range(3):
+                perm = list(range(g.vertex_count))
+                rng.shuffle(perm)
+                h = relabeled(g, perm)
+                index = {e: i for i, e in enumerate(h.edges)}
+                moved = {
+                    frozenset(index[tuple(sorted((perm[g.edges[e][0]], perm[g.edges[e][1]])))]
+                              for e in orbit)
+                    for orbit in _orbit_partition(g)
+                }
+                assert _orbit_partition(h) == moved, g.name
+
+    def test_edgeless_graph(self):
+        assert Graph(3, ()).edge_orbits == ()
 
 
 class TestGraphModel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 from itertools import combinations
 
 import pytest
@@ -38,9 +40,22 @@ from arlabel.solver import (
     is_ar_graph,
     label_wheel,
 )
-from conftest import naive_ari, naive_is_dss, reference_find_ar_labeling, small_family_graphs
+from conftest import (
+    bench_file_graphs,
+    naive_ari,
+    naive_is_dss,
+    reference_find_ar_labeling,
+    small_family_graphs,
+)
 
 FAST = SearchConfig(budget_s=30)
+
+
+def unpinned(g, k, stats=None):
+    """The edge kernel run once, with no label pinned: its first labeling
+    of g from {1..k} (or None) and its stats."""
+    stats = stats or SearchStats()
+    return solver._search(g, k, {}, stats, math.inf), stats
 
 
 def _plain_scan_cases():
@@ -160,24 +175,57 @@ class TestFindArLabeling:
         assert a.labeling == b.labeling
 
     def test_same_first_witness_as_plain_scan(self):
-        # Masks and the forward check cut only dead subtrees, so the first
-        # witness (or the refutation) is the plain 1..k scan's.
+        # Masks and the forward check cut only dead subtrees, so the
+        # kernel's first witness (or refutation) is the plain 1..k scan's.
         for g, k in _plain_scan_cases():
-            out = find_ar_labeling(g, k, FAST)
-            got = (None if out.labeling is None else out.labeling.labels, out.exhausted)
+            labels = unpinned(g, k)[0]
+            got = (None if labels is None else tuple(labels), True)
             assert got == reference_find_ar_labeling(g, k), (g.name, k)
+
+    def test_same_verdict_as_plain_scan(self):
+        # With label k pinned by orbit the first witness may differ, but
+        # not whether there is one.  Label k must be used at k == m, and
+        # above m where the plain scan refutes k - 1, as in deepening.
+        for g, k in _plain_scan_cases():
+            below = k > g.edge_count() and reference_find_ar_labeling(g, k - 1)[0] is None
+            out = find_ar_labeling(g, k, FAST, _require_label_k=below)
+            expect = reference_find_ar_labeling(g, k)[0]
+            assert out.exhausted
+            assert (out.labeling is None) == (expect is None), (g.name, k)
+            if out.labeling is not None:
+                assert is_ar_labeling(g, out.labeling).ok
 
     def test_tree_sizes_pinned(self):
         # (nodes, occupancy prunes, forward prunes) of the benchmark's
-        # kernel instances.  Remembering completion answers must not move
-        # them; only probes may fall.  B_{2,3}@7 asks the same mask and
-        # legal labels with two values of r, at the centers of degree 3 and 4.
+        # kernel instances, summed over the k searched by the unpinned
+        # kernel: for ari, each k from ari_lower_bound to the index.
+        # Remembering completion answers must not move them; only probes
+        # may fall.  B_{2,3}@7 asks the same mask and legal labels with two
+        # values of r, at the centers of degree 3 and 4.  Each case: graph,
+        # the k searched, the k that finds a labeling, sizes.
+        cases = [
+            (bistar(2, 3), [7], 7, (6, 5, 8)),
+            (complete(6), [15], None, (3920, 17922, 19892)),
+            (complete_bipartite(2, 5), [13, 14, 15], 15, (4219, 15960, 20384)),
+            (complete_multipartite([1, 1, 1, 3]), [14, 15], 15, (25575, 86508, 74169)),
+            (bistar(4, 4), [13, 14], 14, (2457, 9391, 11604)),
+        ]
+        for g, ks, found_at, sizes in cases:
+            stats = SearchStats()
+            found = [unpinned(g, k, stats)[0] is not None for k in ks]
+            assert found == [k == found_at for k in ks], g.name
+            assert (stats.nodes, stats.occupancy_prunes, stats.forward_prunes) == sizes, sizes
+
+    def test_tree_sizes_with_orbit_pin(self):
+        # The same instances through the public API: one kernel run per
+        # edge orbit at each k whose label k must be used.  B_{2,3}@7 need
+        # not use 7, so it keeps the unpinned tree.
         cases = [
             (find_ar_labeling(bistar(2, 3), 7, FAST), (6, 5, 8)),
-            (find_ar_labeling(complete(6), 15, FAST), (3920, 17922, 19892)),
-            (ari(complete_bipartite(2, 5), FAST), (4219, 15960, 20384)),
-            (ari(complete_multipartite([1, 1, 1, 3]), FAST), (25575, 86508, 74169)),
-            (ari(bistar(4, 4), FAST), (2457, 9391, 11604)),
+            (find_ar_labeling(complete(6), 15, FAST), (441, 1745, 2366)),
+            (ari(complete_bipartite(2, 5), FAST), (708, 2561, 3453)),
+            (ari(complete_multipartite([1, 1, 1, 3]), FAST), (7819, 24879, 19837)),
+            (ari(bistar(4, 4), FAST), (123, 427, 516)),
         ]
         for out, sizes in cases:
             st = out.stats
@@ -286,10 +334,12 @@ class TestAri:
 
     def test_timeout_gives_bounds(self, slow_clock):
         # ari reads the clock for its deadline and once per k, which leaves
-        # the K_6@15 search 0.5 s: it times out at its first check.
+        # the K_6@15 search 0.5 s: it times out at its first check.  Nodes
+        # and probes each check the clock every 1024; the search must
+        # reach one of them.
         result = ari(complete(6), SearchConfig(budget_s=1.5))
         assert result.status == BOUNDS_ONLY
-        assert result.stats.nodes > 0
+        assert result.stats.nodes >= 1024 or result.stats.probes >= 1024
         assert result.value is None
         assert result.lower >= 15
         assert result.upper >= result.lower
@@ -317,19 +367,76 @@ class TestArGraphDecision:
         assert is_almost_ar(bistar(2, 2), FAST) is False  # already AR
 
     def test_timeout_is_none(self, slow_clock):
-        assert is_ar_graph(complete(6), SearchConfig(budget_s=0.02)) is None
+        # The K_6@15 search reaches a clock check (every 1024 nodes or
+        # probes) before it ends.
+        cfg = SearchConfig(budget_s=0.02)
+        out = find_ar_labeling(complete(6), 15, cfg)
+        assert out.stats.nodes >= 1024 or out.stats.probes >= 1024
+        assert is_ar_graph(complete(6), cfg) is None
 
 
-class TestSymmetryBreaking:
-    def test_agrees_with_plain_search(self):
-        sym = SearchConfig(budget_s=60, symmetry_breaking=True)
-        for g in (complete(4), complete(5), complete_bipartite(2, 2), complete_bipartite(2, 3)):
-            assert ari(g, sym).value == ari(g, FAST).value
+class TestOrbitPin:
+    def test_kernel_runs_once_per_orbit(self, monkeypatch):
+        runs = []
+        kernel = solver._search
 
-    def test_decision_agreement_on_refutation(self):
-        # B(3,3) is not edge-transitive so the flag must not change anything
-        sym = SearchConfig(budget_s=60, symmetry_breaking=True)
-        assert is_ar_graph(bistar(3, 3), sym) is False
+        def recording(g, k, fixed, stats, deadline):
+            runs.append(dict(fixed))
+            return kernel(g, k, fixed, stats, deadline)
+
+        monkeypatch.setattr(solver, "_search", recording)
+        # Two orbits: the central edge and the six pendant edges.  k == m
+        # uses label 7, so it is pinned to the first edge of each orbit in
+        # search order.
+        g = bistar(3, 3)
+        order = solver._search_order(g)
+        out = find_ar_labeling(g, 7, FAST)
+        assert out.labeling is None and out.exhausted
+        assert runs == [{order[0]: 7}, {order[1]: 7}]
+        assert g.edge_orbits[order[0]] != g.edge_orbits[order[1]]
+        # Label 8 need not be used; fixed labels turn the pin off.
+        runs.clear()
+        assert find_ar_labeling(g, 8, FAST).labeling is not None
+        find_ar_labeling(g, 8, FAST, fixed={1: 8}, _require_label_k=True)
+        assert runs == [{}, {1: 8}]
+
+    @pytest.mark.parametrize("name", ["corpus", "bench files", "K_6@15"])
+    def test_public_verdict_matches_unpinned_kernel(self, name):
+        # At each k from ari_lower_bound to the index, the public search
+        # (label k pinned by orbit) and the unpinned kernel agree, and every
+        # witness passes the package check and the naive one.
+        if name == "corpus":
+            cases = [(g, None) for g in small_family_graphs()]
+        elif name == "bench files":
+            cases = [(g, None) for g in bench_file_graphs()]
+        else:
+            cases = [(complete(6), 15)]
+        for g, stop in cases:
+            k = ari_lower_bound(g)
+            while True:
+                _check_pin_agrees(g, k)
+                if k == stop or unpinned(g, k)[0] is not None:
+                    break
+                k += 1
+
+    @pytest.mark.skipif(
+        not os.environ.get("ARLABEL_HEAVY"),
+        reason="unpinned K_6@16 takes 470 k nodes; set ARLABEL_HEAVY=1",
+    )
+    def test_k6_at_16_and_17_match_unpinned_kernel(self):
+        for k in (16, 17):
+            _check_pin_agrees(complete(6), k)
+
+
+def _check_pin_agrees(g, k):
+    out = find_ar_labeling(g, k, SearchConfig(budget_s=120), _require_label_k=True)
+    assert out.exhausted
+    assert (out.labeling is None) == (unpinned(g, k)[0] is None), (g.name, k)
+    if out.labeling is not None:
+        assert is_ar_labeling(g, out.labeling).ok
+        assert k in out.labeling.labels
+        for v in range(g.vertex_count):
+            assert naive_is_dss([out.labeling.labels[e] for e in g.incident_edges(v)])
 
 
 class TestDisjointCover:
@@ -469,8 +576,13 @@ class TestEmbed:
     def test_k6_embedding_exceeds_sane_budgets(self, slow_clock):
         from arlabel.errors import SearchTimeout
 
+        # The embedding starts with the K_6@15 search, which reaches a
+        # clock check (every 1024 nodes or probes) before it ends.
+        cfg = SearchConfig(budget_s=0.5)
+        out = find_ar_labeling(complete(6), 15, cfg)
+        assert out.stats.nodes >= 1024 or out.stats.probes >= 1024
         with pytest.raises(SearchTimeout):
-            embed_in_ar_graph(complete(6), SearchConfig(budget_s=0.5))
+            embed_in_ar_graph(complete(6), cfg)
 
     def test_k6_embedding(self):
         # K_6 and K_6 + pendant are refuted at their edge counts, so the
