@@ -209,33 +209,34 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, budget_default: float) -> None:
-        p.add_argument("--budget", type=parse_duration, default=budget_default,
-                       help="time budget, e.g. 30s, 5m, 2h (default %(default)ss)")
+    def add_common(p: argparse.ArgumentParser, *, budget: bool = False) -> None:
+        if budget:
+            p.add_argument("--budget", type=parse_duration, default=60.0,
+                           help="time budget, e.g. 30s, 5m, 2h (default %(default)ss)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--output", help="also write the rendered result to this path")
 
     p_es = sub.add_parser("es", help="compute ES(n) exactly with a certified witness")
     p_es.add_argument("n", type=int)
-    add_common(p_es, 60.0)
+    add_common(p_es, budget=True)
     p_es.set_defaults(func=cmd_es)
 
     p_dss = sub.add_parser("dss", help="DSS checks and enumeration")
     dss_sub = p_dss.add_subparsers(dest="dss_command", required=True)
     p_check = dss_sub.add_parser("check", help="decide the DSS property for a set")
     p_check.add_argument("elements", type=int, nargs="+")
-    add_common(p_check, 60.0)
+    add_common(p_check)
     p_check.set_defaults(func=cmd_dss_check)
     p_enum = dss_sub.add_parser("enum", help="enumerate DSS sets of a size under a cap")
     p_enum.add_argument("--size", type=int, required=True)
     p_enum.add_argument("--cap", type=int, required=True)
-    add_common(p_enum, 60.0)
+    add_common(p_enum)
     p_enum.set_defaults(func=cmd_dss_enum)
 
     p_verify = sub.add_parser("verify", help="verify a labeling file against a graph file")
     p_verify.add_argument("graph")
     p_verify.add_argument("labeling")
-    add_common(p_verify, 60.0)
+    add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ari = sub.add_parser("ari", help="compute the AR-index of a family or graph file")
@@ -246,7 +247,7 @@ def make_parser() -> argparse.ArgumentParser:
         "multipartite A,B,C | wheel N | cycle N | path N",
     )
     p_ari.add_argument("--file", help="graph file instead of a family spec")
-    add_common(p_ari, 60.0)
+    add_common(p_ari, budget=True)
     p_ari.set_defaults(func=cmd_ari)
 
     p_rep = sub.add_parser("reproduce", help="re-derive every published claim as a report")

@@ -1,11 +1,11 @@
 """Distinct-subset-sum (DSS) primitives.
 
 A set of positive integers is DSS when all 2^n of its subset sums are
-pairwise distinct (the empty subset contributes sum 0).  ``is_dss`` and
-``subset_sum_collision`` share one forward scan, ``_first_collision``: it
-adds the elements one at a time and stops at the first element whose
-sums repeat an earlier sum.  Each call holds the sums of the current
-prefix in whichever of two representations costs less:
+pairwise distinct (the empty subset contributes sum 0).  ``is_dss``,
+``subset_sum_collision`` and ``DssSet`` share one forward scan,
+``_first_collision``: it adds the elements one at a time and stops at the
+first element whose sums repeat an earlier sum.  Each call holds the sums
+of the current prefix in whichever of two representations costs less:
 
 * **Occupancy bitmap**: bit s of one Python int is set iff some subset
   sums to s.  Adding an element a maps ``bits`` to ``bits | (bits << a)``,
@@ -28,25 +28,22 @@ That prefix is DSS, so each sum it reaches has exactly one subset: the
 certificate does not depend on the representation or on how the subsets
 are found.
 
-``enumerate_dss_sets`` extends occupancy bitmaps in its own recursion.  The
-search kernels use a third encoding, the **difference mask**: bit
-``off + d`` is set iff d is a difference of two subset sums, negative d
-included, so ``off`` must be at least the largest total the set can reach.
-The empty set's mask is ``1 << off``; adding a maps ``z`` to
-``z | z << a | z >> a``.  A label a may join the set iff bit ``off + a`` is
-clear, because the new sums s + a avoid every old sum t exactly when a is
-not t - s.  The labels legal at once are the clear bits of ``z >> off``, so
-the edge search and the ES search screen all candidates of a node with one
-AND instead of one shift-and-test per label.
+Every search over DSS sets (``enumerate_dss_sets``, the ES search, the
+edge kernel and its completion check) uses a third encoding instead, the
+**difference mask**: bit ``off + d`` is set iff d is a difference of two
+subset sums, negative d included, so ``off`` must be at least the largest
+total the set can reach.  The empty set's mask is ``1 << off``; adding a
+maps ``z`` to ``z | z << a | z >> a``.  A label a may join the set iff bit
+``off + a`` is clear, because the new sums s + a avoid every old sum t
+exactly when a is not t - s.  The labels legal at once are the clear bits
+of ``z >> off``, so a search screens all candidates of a node with one AND
+instead of one shift-and-test per label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-# Element sums must stay inside a 64-bit machine word.
-MAX_TOTAL = 2**63 - 1
 
 # Bit operations of the occupancy scan that cost as much as one sum hashed
 # by the sum-set scan.  Timed on full scans of DSS sets (n = 4..16, totals
@@ -56,9 +53,8 @@ _BITS_PER_SUM = 2**13
 
 
 def _checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
-    """Sort and validate: positive, distinct, total within MAX_TOTAL."""
+    """Sort and validate: positive and distinct."""
     elems = tuple(sorted(elements))
-    total = 0
     prev = 0
     for a in elems:
         if a < 1:
@@ -66,9 +62,6 @@ def _checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
         if a == prev:
             raise ValueError(f"duplicate element {a}")
         prev = a
-        total += a
-    if total > MAX_TOTAL:
-        raise OverflowError(f"element sum {total} exceeds 64-bit range")
     return elems
 
 
@@ -85,7 +78,7 @@ class DssSet:
 
     def __post_init__(self) -> None:
         elems = _checked_elements(self.elements)
-        if not is_dss(elems):
+        if _first_collision(elems) is not None:
             raise ValueError(f"{elems} is not a distinct-subset-sum set")
         object.__setattr__(self, "elements", elems)
 
@@ -115,7 +108,7 @@ def is_dss(elements: Iterable[int]) -> bool:
     """Decide whether all 2^n subset sums of ``elements`` are distinct.
 
     Empty input is trivially DSS.  Raises ValueError on duplicates or
-    non-positive entries, OverflowError when the total leaves 64-bit range.
+    non-positive entries.
     """
     return _first_collision(_checked_elements(elements)) is None
 
@@ -171,32 +164,35 @@ def difference_mask(elements: Iterable[int], off: int) -> int:
 def enumerate_dss_sets(size: int, cap: int) -> list[DssSet]:
     """All size-element DSS subsets of {1..cap}, in lexicographic order.
 
-    The recursion only ever stands on DSS prefixes (every subset of a DSS set
-    is DSS), so pruning with the incremental test is exact, and each set it
-    completes is DSS by that test: it is not checked again.
+    Depth-first over difference masks (module docstring), lowest label
+    first, screening each level's candidates with one AND.  The search only
+    stands on DSS prefixes, so each set it completes is not checked again.
     """
     if size < 1:
         raise ValueError(f"size {size} must be at least 1")
     if size > cap:
         raise ValueError(f"size {size} exceeds cap {cap}")
+    off = size * cap  # no size elements of {1..cap} sum to more
     results: list[DssSet] = []
     chosen: list[int] = []
 
     # extend is handed itself rather than closing over its own name, so no
     # reference cycle keeps the results alive after the call.
-    def extend(start: int, bits: int, remaining: int, extend) -> None:
+    def extend(z: int, cand: int, remaining: int, extend) -> None:
         if remaining == 0:
             results.append(DssSet._proved(tuple(chosen)))
             return
-        for a in range(start, cap - remaining + 2):
-            shifted = bits << a
-            if bits & shifted:
-                continue
+        cand &= ~(z >> off)
+        # The smallest label still to pick leaves remaining - 1 more above it.
+        while cand.bit_count() >= remaining:
+            low = cand & -cand
+            cand ^= low
+            a = low.bit_length() - 1
             chosen.append(a)
-            extend(a + 1, bits | shifted, remaining - 1, extend)
+            extend(z | z << a | z >> a, cand, remaining - 1, extend)
             chosen.pop()
 
-    extend(1, 1, size, extend)
+    extend(1 << off, (1 << (cap + 1)) - 2, size, extend)
     return results
 
 

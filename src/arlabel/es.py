@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .dss import MAX_TOTAL, DssSet, difference_mask, is_dss
+from .dss import DssSet, difference_mask, is_dss
 from .errors import SearchTimeout
 
 COMPUTED = "computed"
@@ -28,8 +28,9 @@ BOUND_ONLY = "bound-only"
 # The nine known values of the sequence; everything beyond is open.
 KNOWN_ES = {1: 1, 2: 2, 3: 4, 4: 7, 5: 13, 6: 24, 7: 44, 8: 84, 9: 161}
 
-# 2^n must stay inside a 64-bit word for the analytic bounds.
+# 2^n and the Conway-Guy values must stay inside a 64-bit word.
 _MAX_N = 62
+MAX_TOTAL = 2**63 - 1
 
 
 def _check_n(n: int) -> None:
@@ -89,7 +90,7 @@ def conway_guy_set(n: int) -> DssSet:
     elems = tuple(un - conway_guy_u(n - i) for i in range(1, n + 1))
     if not is_dss(elems):
         raise RuntimeError(f"internal: Conway-Guy set for n={n} failed the DSS check")
-    return DssSet(elems)
+    return DssSet._proved(elems)
 
 
 @dataclass(frozen=True)

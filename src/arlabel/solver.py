@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .check import Labeling, is_ar_labeling
 from .dss import DssSet, enumerate_dss_sets
 from .errors import SearchTimeout, UnsupportedSizeError
-from .es import KNOWN_ES, conway_guy_set, conway_guy_u, es, es_floor
+from .es import conway_guy_set, conway_guy_u, es, es_floor
 from .graphs import Graph, wheel
 
 EXACT = "exact"
@@ -382,7 +382,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         raise ValueError("graph has no edges")
     lb = ari_lower_bound(g)
     m = g.edge_count()
-    upper = KNOWN_ES[m] if m <= 9 else conway_guy_u(m)
+    upper = conway_guy_u(m)
     deadline = time.monotonic() + cfg.budget_s
     total = SearchStats()
     k = lb

@@ -83,12 +83,16 @@ class TestDssCommands:
         assert code == 1
         assert "[1, 2]" in out and "[3]" in out
 
-    @pytest.mark.parametrize("big", [2**40, 2**62])
-    def test_check_large_elements_dss(self, capsys, big):
-        # The bitmap would need `big` bits; the assertion comes first so a
-        # wrong cost rule fails here instead of allocating it.
-        assert not dss._bitmap_is_cheaper(3, 1 + 3 + big)
-        code, out = run(capsys, "dss", "check", "1", "3", str(big))
+    @pytest.mark.parametrize(
+        "elements",
+        [(1, 3, 2**40), (1, 3, 2**62), (2**62, 2**62 - 1, 2)],
+        ids=[str(2**40), str(2**62), "total-above-2**63"],
+    )
+    def test_check_large_elements_dss(self, capsys, elements):
+        # The bitmap would need about total bits; the assertion comes first
+        # so a wrong cost rule fails here instead of allocating it.
+        assert not dss._bitmap_is_cheaper(3, sum(elements))
+        code, out = run(capsys, "dss", "check", *map(str, elements))
         assert code == 0
         assert out.startswith("DSS")
 
@@ -116,6 +120,18 @@ class TestDssCommands:
         assert code == 0
         assert json.loads(out)["sets"] == [[3, 5, 6, 7]]
 
+    def test_check_takes_no_budget(self):
+        # Only es and ari search under a budget; elsewhere the flag is a
+        # usage error rather than silently ignored.
+        with pytest.raises(SystemExit) as stop:
+            main(["dss", "check", "3", "5", "6", "7", "--budget", "1s"])
+        assert stop.value.code == 2
+
+    def test_enum_takes_no_budget(self):
+        with pytest.raises(SystemExit) as stop:
+            main(["dss", "enum", "--size", "4", "--cap", "7", "--budget", "1s"])
+        assert stop.value.code == 2
+
 
 class TestVerifyCommand:
     def test_ok(self, capsys, tmp_path):
@@ -141,6 +157,13 @@ class TestVerifyCommand:
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "verify", str(tmp_path / "nope.json"), str(tmp_path / "l.json"))
         assert code == 2
+
+    def test_takes_no_budget(self, tmp_path):
+        save_graph(path(4), tmp_path / "g.json")
+        save_labeling(Labeling((1, 2, 3)), tmp_path / "l.json")
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", str(tmp_path / "g.json"), str(tmp_path / "l.json"), "--budget", "1s"])
+        assert stop.value.code == 2
 
 
 class TestAriCommand:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from arlabel import dss
 from arlabel.dss import (
-    MAX_TOTAL,
     DssSet,
     difference_mask,
     enumerate_dss_sets,
@@ -45,9 +44,17 @@ class TestIsDss:
         with pytest.raises(ValueError, match="positive"):
             is_dss([-3, 1])
 
-    def test_rejects_overflowing_total(self):
-        with pytest.raises(OverflowError):
-            is_dss([2**62, 2**62 - 1, 2])
+    def test_decides_dss_total_above_64_bits(self):
+        # The sum-set scan decides it from eight sums.
+        assert is_dss([2**62, 2**62 - 1, 2]) is True
+        assert subset_sum_collision([2**62, 2**62 - 1, 2]) is None
+
+    def test_decides_collision_total_above_64_bits(self):
+        values = [2**62, 2**63, 2**63 + 2**62]
+        assert is_dss(values) is False
+        a, b = subset_sum_collision(values)
+        assert not set(a) & set(b)
+        assert sum(values[i] for i in a) == sum(values[i] for i in b)
 
     def test_exhaustive_agreement_with_naive_oracle(self):
         universe = list(range(1, 12))
@@ -167,11 +174,21 @@ class TestEnumerate:
     def test_agreement_with_naive_enumeration(self):
         from itertools import combinations
 
-        for size, cap in [(2, 5), (3, 8), (4, 9), (5, 13)]:
+        for size, cap in [(2, 5), (3, 8), (4, 9), (5, 13), (5, 16)]:
             naive = [
                 c for c in combinations(range(1, cap + 1), size) if naive_is_dss(c)
             ]
             assert [s.elements for s in enumerate_dss_sets(size, cap)] == naive
+
+    def test_unique_six_element_set_under_twenty_four(self):
+        assert enumerate_dss_sets(6, 24) == [DssSet((11, 17, 20, 22, 23, 24))]
+
+    def test_six_element_sets_under_thirty_six(self):
+        # Masks of 2 * 6 * 36 bits: wider than a machine word.
+        sets = enumerate_dss_sets(6, 36)
+        assert len(sets) == 20_929
+        assert sets[0].elements == (1, 2, 4, 8, 16, 32)
+        assert sets[-1].elements == (23, 29, 32, 34, 35, 36)
 
     def test_sorted_and_duplicate_free(self):
         sets = [s.elements for s in enumerate_dss_sets(3, 10)]
@@ -213,6 +230,9 @@ class TestDssSet:
         assert 5 in ds and 4 not in ds
         assert len(ds) == 4
         assert list(ds) == [3, 5, 6, 7]
+
+    def test_total_above_64_bits(self):
+        assert DssSet((3, 2**63 - 1)).elements == (3, 2**63 - 1)
 
 
 class TestSubsetSumCollision:
@@ -309,9 +329,3 @@ class TestCertificatesAcrossPaths:
         for draw in (small_values, large_values):
             found = {subset_sum_collision(draw(rng)) is None for _ in range(200)}
             assert found == {True, False}
-
-
-def test_max_total_guard_is_64_bit():
-    assert MAX_TOTAL == 2**63 - 1
-    with pytest.raises(OverflowError):
-        DssSet((3, MAX_TOTAL))
