@@ -104,11 +104,9 @@ def is_ar_labeling(g: Graph, labeling: Labeling) -> Verdict:
         first_seen[lab] = i
     for v in range(g.vertex_count):
         idxs = g.incident_edges(v)
-        vals = [labels[e] for e in idxs]
-        if is_dss(vals):
+        collision = subset_sum_collision([labels[e] for e in idxs])
+        if collision is None:
             continue
-        collision = subset_sum_collision(vals)
-        assert collision is not None
         pos_a, pos_b = collision
         return Verdict(
             False,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .check import Verdict, save_labeling, verify_files
-from .dss import enumerate_dss_sets, is_dss, subset_sum_collision
+from .dss import checked_elements, enumerate_dss_sets, subset_sum_collision
 from .es import BOUND_ONLY, es
 from .graphs import (
     Graph,
@@ -111,14 +111,11 @@ def cmd_es(args: argparse.Namespace) -> int:
 
 
 def cmd_dss_check(args: argparse.Namespace) -> int:
-    elements = args.elements
-    verdict = is_dss(elements)
-    if verdict:
-        _emit(args, "DSS: all subset sums distinct", {"dss": True, "elements": sorted(elements)})
+    ordered = checked_elements(args.elements)
+    collision = subset_sum_collision(ordered)
+    if collision is None:
+        _emit(args, "DSS: all subset sums distinct", {"dss": True, "elements": list(ordered)})
         return OK
-    collision = subset_sum_collision(sorted(elements))
-    assert collision is not None
-    ordered = sorted(elements)
     sub_a = [ordered[i] for i in collision[0]]
     sub_b = [ordered[i] for i in collision[1]]
     text = f"not DSS: subsets {sub_a} and {sub_b} share the sum {sum(sub_a)}"

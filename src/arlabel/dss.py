@@ -2,10 +2,10 @@
 
 A set of positive integers is DSS when all 2^n of its subset sums are
 pairwise distinct (the empty subset contributes sum 0).  ``is_dss``,
-``subset_sum_collision`` and ``DssSet`` share one forward scan,
-``_first_collision``: it adds the elements one at a time and stops at the
-first element whose sums repeat an earlier sum.  Each call holds the sums
-of the current prefix in whichever of two representations costs less:
+``subset_sum_collision`` and ``DssSet`` share one question,
+``_first_collision``: in the caller's order, which element is the first
+whose sums repeat an earlier sum, and which sum repeats?  Each call holds
+the sums of a prefix in whichever of two representations costs less:
 
 * **Occupancy bitmap**: bit s of one Python int is set iff some subset
   sums to s.  Adding an element a maps ``bits`` to ``bits | (bits << a)``,
@@ -19,14 +19,22 @@ of the current prefix in whichever of two representations costs less:
   a 128 GiB bitmap.
 
 The bitmap is taken iff n * total < ``_BITS_PER_SUM`` * 2^n, where
-``_BITS_PER_SUM`` is the measured number of bit operations one hashed sum
-costs.  Both representations report the same first colliding prefix and
-the same smallest repeated sum.  ``subset_sum_collision`` then rebuilds
-the two subsets that reach that sum by meet in the middle over the prefix
-before the colliding element (about 2 * 2^(j/2) sums for a prefix of j).
-That prefix is DSS, so each sum it reaches has exactly one subset: the
-certificate does not depend on the representation or on how the subsets
-are found.
+``_BITS_PER_SUM`` is the measured number of bit operations one hashed
+sum costs.  A prefix's bitmap, and whether the prefix is DSS, do not
+depend on the order its elements are added.  So the bitmap form adds
+them in ascending order, which keeps each bitmap as narrow as any order
+can: one ascending scan of the whole set decides DSS, and only when it
+collides on an input that is not ascending do a few more scans, each of
+one caller prefix in ascending order, find the caller-order answer
+(``_first_collision``).  The smallest repeated sum is read off the top
+bit of the colliding step's overlap (``_scan``).  The sum set adds the
+elements in the caller's order.  Both representations report the same
+first colliding prefix and the same smallest repeated sum.
+``subset_sum_collision`` then rebuilds the two subsets that reach that
+sum by meet in the middle over the prefix before the colliding element
+(about 2 * 2^(j/2) sums for a prefix of j).  That prefix is DSS, so each
+sum it reaches has exactly one subset: the certificate does not depend
+on the representation or on how the subsets are found.
 
 Every search over DSS sets (``enumerate_dss_sets``, the ES search, the
 edge kernel and its completion check) uses a third encoding instead, the
@@ -52,8 +60,8 @@ from typing import Iterable, Iterator
 _BITS_PER_SUM = 2**13
 
 
-def _checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
-    """Sort and validate: positive and distinct."""
+def checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
+    """The elements sorted; ValueError unless they are positive and distinct."""
     elems = tuple(sorted(elements))
     prev = 0
     for a in elems:
@@ -77,7 +85,7 @@ class DssSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = _checked_elements(self.elements)
+        elems = checked_elements(self.elements)
         if _first_collision(elems) is not None:
             raise ValueError(f"{elems} is not a distinct-subset-sum set")
         object.__setattr__(self, "elements", elems)
@@ -110,7 +118,7 @@ def is_dss(elements: Iterable[int]) -> bool:
     Empty input is trivially DSS.  Raises ValueError on duplicates or
     non-positive entries.
     """
-    return _first_collision(_checked_elements(elements)) is None
+    return _first_collision(checked_elements(elements)) is None
 
 
 def _bitmap_is_cheaper(n: int, total: int) -> bool:
@@ -125,16 +133,37 @@ def _first_collision(vals: tuple[int, ...]) -> tuple[int, int] | None:
     Returns (j, t): ``vals[:j]`` is DSS, ``vals[:j + 1]`` is not, and t is
     the smallest sum that two subsets of ``vals[:j + 1]`` share.  Elements
     are taken in the order given and must be positive.
+
+    The bitmap form first scans the whole set in ascending order.  That
+    scan decides DSS, and on an ascending input its collision is the
+    answer.  Otherwise each further scan tests one candidate i for j: it
+    adds ``vals[:i]`` in ascending order, then ``vals[i]``.  A collision at
+    ``vals[i]`` means j = i and gives t; an earlier collision means j < i;
+    none means j > i.  A scan that collides once it has added the elements
+    ``order[:p + 1]`` bounds j by the largest of their caller indices.  The
+    first candidate is the whole-set scan's bound, then the candidates
+    bisect, so at most ceil(log2 n) + 2 scans run in all.  A scan's bitmap
+    after k elements is no wider than the bitmap of the caller's first k
+    elements, though a scan may add more elements than a scan in the
+    caller's order, which stops after j + 1.
     """
     if _bitmap_is_cheaper(len(vals), sum(vals)):
-        bits = 1
-        for j, a in enumerate(vals):
-            shifted = bits << a
-            overlap = bits & shifted
-            if overlap:
-                return j, (overlap & -overlap).bit_length() - 1
-            bits |= shifted
-        return None
+        order = sorted(range(len(vals)), key=vals.__getitem__)
+        hit = _scan(vals, order)
+        if hit is None:
+            return None
+        lo, i = 1, None  # lo <= j <= hi; one positive element is DSS
+        while True:
+            if hit is None:
+                lo = i + 1  # vals[:i + 1] is DSS
+            else:
+                p, t = hit
+                hi = max(order[: p + 1])  # vals[:hi + 1] is not DSS
+                if hi == order[p] == p:  # vals[:p] in some order, then vals[p]
+                    return p, t
+            i = hi if i is None else (lo + hi) // 2
+            order = sorted(range(i), key=vals.__getitem__) + [i]
+            hit = _scan(vals, order)
     sums = {0}
     for j, a in enumerate(vals):
         size = len(sums)
@@ -143,6 +172,28 @@ def _first_collision(vals: tuple[int, ...]) -> tuple[int, int] | None:
         if len(sums) < 2 * size:
             # The repeated sums are the shifted ones that were already there.
             return j, min({s - a for s in shifted}.intersection(shifted))
+    return None
+
+
+def _scan(vals: tuple[int, ...], order: list[int]) -> tuple[int, int] | None:
+    """Occupancy-bitmap scan that adds ``vals[i]`` for each i in ``order``.
+
+    Returns None if the subset sums stay distinct, else (p, t): ``order[p]``
+    is the first element whose sums repeat an earlier sum, and t is the
+    smallest repeated sum.  Bit s of the overlap is set iff s is a
+    repeated sum, and then so is total - s (swap both subsets for their
+    complements among the elements added), so t is total minus the
+    overlap's top bit: finding it builds no temporary.
+    """
+    bits, total = 1, 0
+    for p, i in enumerate(order):
+        a = vals[i]
+        total += a
+        shifted = bits << a
+        overlap = bits & shifted
+        if overlap:
+            return p, total + 1 - overlap.bit_length()
+        bits |= shifted
     return None
 
 
@@ -201,11 +252,11 @@ def subset_sum_collision(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two distinct index subsets of ``values`` with equal sums, or None.
 
-    Deterministic: scans prefixes left to right, stops at the first element
-    whose addition causes a collision, and reports the smallest colliding
-    sum there.  The returned subsets are disjoint and re-checkable; indices
-    refer to positions in ``values`` (duplicated values are handled, the two
-    equal singletons collide).
+    Deterministic: takes the first element, in the order given, whose
+    addition to the elements before it causes a collision, and reports the
+    smallest colliding sum there.  The returned subsets are disjoint and
+    re-checkable; indices refer to positions in ``values`` (duplicated
+    values are handled, the two equal singletons collide).
     """
     vals = tuple(values)
     for a in vals:

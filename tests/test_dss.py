@@ -3,7 +3,9 @@ agreement with the naive hash-set oracle."""
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -197,12 +199,13 @@ class TestEnumerate:
 
     def test_results_are_not_checked_twice(self, monkeypatch):
         # The recursion proves each set DSS, so building the results runs
-        # no second check; each one still passes is_dss and equals the
-        # DssSet a user would build from it.
+        # no second check (the scan behind is_dss and DssSet); each one
+        # still passes is_dss and equals the DssSet a user would build from
+        # it.
         sets = enumerate_dss_sets(5, 16)
         calls = []
-        checked = dss.is_dss
-        monkeypatch.setattr(dss, "is_dss", lambda e: calls.append(e) or checked(e))
+        checked = dss._first_collision
+        monkeypatch.setattr(dss, "_first_collision", lambda e: calls.append(e) or checked(e))
         assert enumerate_dss_sets(5, 16) == sets
         assert calls == []
         monkeypatch.undo()
@@ -329,3 +332,144 @@ class TestCertificatesAcrossPaths:
         for draw in (small_values, large_values):
             found = {subset_sum_collision(draw(rng)) is None for _ in range(200)}
             assert found == {True, False}
+
+
+def caller_order_collision(values):
+    """Reference certificate for sets too large for ``naive_collision``.
+
+    The occupancy scan in the caller's order, adding one element at a time,
+    gives (j, t); the two subsets are then read off every subset of the DSS
+    prefix ``values[:j]``, each sum of which has exactly one subset.
+    """
+    vals = tuple(values)
+    bits = 1
+    for j, a in enumerate(vals):
+        shifted = bits << a
+        overlap = bits & shifted
+        if overlap:
+            t = (overlap & -overlap).bit_length() - 1
+            break
+        bits |= shifted
+    else:
+        return None
+    subsets = {0: ()}
+    for i in range(j):
+        subsets.update([(s + vals[i], c + (i,)) for s, c in subsets.items()])
+    return subsets[t], subsets[t - vals[j]] + (j,)
+
+
+def colliding_sets(seed: int, count: int) -> list[list[int]]:
+    """Unsorted sets of 13 to 16 elements, log-uniform in 2^4..2^22 like the
+    verify benchmark's, each with one element replaced by a sum of two to
+    four elements before it: the last element in every other set, an
+    earlier one in the rest."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(13, 16)
+        vals = [int(2 ** rng.uniform(4, 22)) for _ in range(n)]
+        at = n - 1 if k % 2 else rng.randrange(4, n - 1)
+        vals[at] = sum(rng.sample(vals[:at], rng.randint(2, 4)))
+        out.append(vals)
+    return out
+
+
+# The heaviest set the verify benchmark checks: 15 DSS elements 2^20 - 2^i
+# and one that collides, (2^20-1) + (2^20-8) = (2^20-4) + (2^20-5).
+GUARD_SHAPE = [2**20 - 2**i for i in range(15)] + [2**20 - 5]
+
+
+class TestCertificatesAtScale:
+    """The certificate is the caller-order scan's, whatever order the
+    bitmaps are built in."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unsorted_sets_match_caller_order_scan(self, seed):
+        sets = colliding_sets(seed, 25)
+        last = earlier = 0
+        for values in sets:
+            expected = caller_order_collision(values)
+            assert subset_sum_collision(values) == expected, values
+            if max(expected[1]) == len(values) - 1:
+                last += 1
+            else:
+                earlier += 1
+        assert last and earlier
+        assert sum(map(uses_bitmap, sets)) > len(sets) // 2
+
+    @pytest.mark.parametrize("order", ["given", "ascending", "descending", "shuffled"])
+    def test_guard_shape_in_every_order(self, order):
+        values = list(GUARD_SHAPE)
+        if order == "ascending":
+            values.sort()
+        elif order == "descending":
+            values.sort(reverse=True)
+        elif order == "shuffled":
+            random.Random(16).shuffle(values)
+        assert uses_bitmap(values)
+        assert subset_sum_collision(values) == caller_order_collision(values)
+
+    def test_smallest_repeated_sum_read_from_the_top_bit(self):
+        # The scan reads t off the overlap's top bit; it must be the low
+        # bit, on overlaps of up to 2^24 bits, in any order of the elements.
+        rng = random.Random(24)
+        wide = [2**20 - 2**i for i in range(16)]
+        wide[9] = wide[2] + wide[7] - wide[4]  # collides with wide[4]
+        inputs = [GUARD_SHAPE, wide] + colliding_sets(24, 20)
+        inputs += [small_values(rng) for _ in range(300)]
+        widths = []
+        for values in inputs:
+            for order in (
+                sorted(range(len(values)), key=values.__getitem__),
+                rng.sample(range(len(values)), len(values)),
+            ):
+                hit = dss._scan(values, order)
+                if hit is None:
+                    continue
+                p, t = hit
+                bits = 1
+                for i in order[:p]:
+                    bits |= bits << values[i]
+                overlap = bits & bits << values[order[p]]
+                assert t == (overlap & -overlap).bit_length() - 1, (values, order)
+                widths.append(overlap.bit_length())
+        assert 2**23 < max(widths) <= 2**24
+
+
+class TestScanCost:
+    """How many bitmaps the scans build, and how wide."""
+
+    def test_scans_are_few_and_narrow(self, monkeypatch):
+        # At most ceil(log2 n) + 2 scans a call, and a scan's bitmap after k
+        # elements is no wider than the caller's first k elements make.
+        orders = []
+        scan = dss._scan
+        monkeypatch.setattr(dss, "_scan", lambda v, o: orders.append(o) or scan(v, o))
+        rng = random.Random(5)
+        inputs = [small_values(rng) for _ in range(2000)] + [
+            [rng.randint(1, 3 * n) for _ in range(n)] for n in range(2, 17) for _ in range(50)
+        ]
+        for values in inputs:
+            assert uses_bitmap(values)
+            orders.clear()
+            subset_sum_collision(values)
+            assert len(orders) <= math.ceil(math.log2(len(values))) + 2, values
+            for order in orders:
+                for k in range(1, len(order) + 1):
+                    assert sum(values[i] for i in order[:k]) <= sum(values[:k]), values
+            if len(set(values)) == len(values):
+                orders.clear()
+                is_dss(values)
+                assert len(orders) == 1
+
+    @pytest.mark.parametrize("check", [is_dss, subset_sum_collision])
+    def test_guard_shape_peak_memory(self, check):
+        # The scan holds at most the bitmap, its shift and their overlap.
+        width = (sum(GUARD_SHAPE) + 1) / 8  # bytes of the set's bitmap
+        tracemalloc.start()
+        try:
+            check(GUARD_SHAPE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * width
