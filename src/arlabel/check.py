@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dss import is_dss, subset_sum_collision
+from .dss import subset_sum_collision
 from .errors import ParseError
 from .graphs import Graph, load_graph
 
@@ -79,15 +79,6 @@ def _validate(g: Graph, labeling: Labeling) -> None:
         )
 
 
-def is_ar_vertex(g: Graph, labeling: Labeling, v: int) -> bool:
-    """True iff the labels on edges incident to v form a DSS set."""
-    _validate(g, labeling)
-    vals = [labeling.labels[e] for e in g.incident_edges(v)]
-    if len(set(vals)) != len(vals):
-        return False  # equal incident labels collide as singleton subsets
-    return is_dss(vals)
-
-
 def is_ar_labeling(g: Graph, labeling: Labeling) -> Verdict:
     """Verify injectivity and the AR property at every vertex.
 
@@ -117,17 +108,6 @@ def is_ar_labeling(g: Graph, labeling: Labeling) -> Verdict:
             ),
         )
     return Verdict(True)
-
-
-def third_label_feasible(x: int, y: int, z: int) -> bool:
-    """Degree-3 feasibility: given incident labels x and y, may a third
-    incident edge carry z?  Holds iff z != x + y and z != |x - y|, which is
-    equivalent to {x, y, z} being DSS."""
-    if x < 1 or y < 1 or z < 1:
-        raise ValueError("labels must be positive integers")
-    if x == y or x == z or y == z:
-        raise ValueError("labels must be pairwise distinct")
-    return z != x + y and z != abs(x - y)
 
 
 def load_labeling(path: str | Path) -> Labeling:

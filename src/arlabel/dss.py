@@ -4,36 +4,48 @@ A set of positive integers is DSS when all 2^n of its subset sums are
 pairwise distinct (the empty subset contributes sum 0).  ``is_dss``,
 ``subset_sum_collision`` and ``DssSet`` share one question,
 ``_first_collision``: in the caller's order, which element is the first
-whose sums repeat an earlier sum, and which sum repeats?  Each call holds
-the sums of a prefix in whichever of two representations costs less:
+whose sums repeat an earlier sum, and which sum repeats?
+
+An element larger than the sum of all smaller ones lies in no collision,
+since a subset holding it outweighs any subset without it.  So the
+question is asked of the **core**: the set sorted, with such elements
+stripped from the top one by one (``_core``).  A set is DSS iff its core
+is, and every pair of disjoint subsets with equal sums lies in the core,
+so the first colliding prefix and the smallest repeated sum are those of
+the whole set.  Equal elements are never stripped.  Each call then holds
+the core's sums in whichever of two representations costs less:
 
 * **Occupancy bitmap**: bit s of one Python int is set iff some subset
   sums to s.  Adding an element a maps ``bits`` to ``bits | (bits << a)``,
   and the extension keeps the sums distinct iff the two halves do not
   overlap.  A scan costs about n * total bit operations and total bits of
   memory, so it suits small elements.
-* **Sum set**: a Python ``set`` of the prefix's subset sums.  Adding a
-  inserts s + a for every sum s, and the sums stay distinct iff the set
-  doubles.  A scan costs about 2^n hashed ints, whatever the elements'
-  size, so ``is_dss([1, 3, 2**40])`` hashes eight sums instead of building
-  a 128 GiB bitmap.
+* **Meet in the middle** over signed sums (Horowitz and Sahni, J. ACM 21,
+  1974): a signed sum adds, subtracts or leaves out each element, and an
+  element a collides with the elements before it iff one of their signed
+  sums equals a.  Each half of the core, in the caller's order, keeps a
+  dict from signed sum to its least positive part, about 3^(n/2) entries
+  whatever the elements' size, so ``is_dss([1, 3, 2**40])`` needs no
+  sums at all and 24 elements near 2^62 need about 3^12 entries instead
+  of 2^24 sums or a bitmap of 2^66 bits (``_meet_in_the_middle``).
 
-The bitmap is taken iff n * total < ``_BITS_PER_SUM`` * 2^n, where
-``_BITS_PER_SUM`` is the measured number of bit operations one hashed
-sum costs.  A prefix's bitmap, and whether the prefix is DSS, do not
-depend on the order its elements are added.  So the bitmap form adds
-them in ascending order, which keeps each bitmap as narrow as any order
-can: one ascending scan of the whole set decides DSS, and only when it
-collides on an input that is not ascending do a few more scans, each of
-one caller prefix in ascending order, find the caller-order answer
-(``_first_collision``).  The smallest repeated sum is read off the top
-bit of the colliding step's overlap (``_scan``).  The sum set adds the
-elements in the caller's order.  Both representations report the same
-first colliding prefix and the same smallest repeated sum.
-``subset_sum_collision`` then rebuilds the two subsets that reach that
-sum by meet in the middle over the prefix before the colliding element
-(about 2 * 2^(j/2) sums for a prefix of j).  That prefix is DSS, so each
-sum it reaches has exactly one subset: the certificate does not depend
+The bitmap is taken iff n * total < ``_BITS_PER_SUM`` * (3^(n//2) +
+3^(n - n//2)) for a core of n elements, where ``_BITS_PER_SUM`` is the
+measured number of bit operations one signed sum costs.  A prefix's
+bitmap, and whether the prefix is DSS, do not depend on the order its
+elements are added.  So the bitmap form adds them in ascending order,
+which keeps each bitmap as narrow as any order can: one ascending scan of
+the core decides DSS, and only when it collides on an input that is not
+ascending do a few more scans, each of one caller prefix in ascending
+order, find the caller-order answer (``_first_collision``).  The smallest
+repeated sum is read off the top bit of the colliding step's overlap
+(``_scan``).  The meet in the middle adds the core's elements in the
+caller's order.  Both representations report the same first colliding
+prefix and the same smallest repeated sum.  ``subset_sum_collision``
+then rebuilds the two subsets that reach that sum by meet in the middle
+over the elements before the colliding one that do not exceed the sum
+(about 2 * 2^(m/2) sums for m of them).  Those elements are DSS, so each
+sum they reach has exactly one subset: the certificate does not depend
 on the representation or on how the subsets are found.
 
 Every search over DSS sets (``enumerate_dss_sets``, the ES search, the
@@ -53,11 +65,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# Bit operations of the occupancy scan that cost as much as one sum hashed
-# by the sum-set scan.  Timed on full scans of DSS sets (n = 4..16, totals
-# 2^10..2^40; 2-core x86-64 host, CPython 3.11): the two scans break even
-# at n * total / 2^n between 2^13 and 2^14.
-_BITS_PER_SUM = 2**13
+# Bit operations of the occupancy scan that cost as much as one signed sum
+# of the meet in the middle.  Timed on passes over the 1,801 sets of the
+# verify benchmark (seeds 1 and 2: is_dss, then subset_sum_collision on the
+# sets that are not DSS; 2-core x86-64 host, CPython 3.11): least time at
+# 2^14 and 2^14.25, 8% more at 2^13.5, 16% at 2^13, 65% at 2^12.5, and 26%
+# at 2^14.5, where the benchmark's 16 elements near 2^20 return to the
+# bitmap.  Full scans of DSS sets of nearly equal elements (n = 6..16,
+# totals 2^14..2^25) break even lower, at 2^11.6 to 2^13.6: n * total
+# overstates the bitmap's cost when the elements spread.
+_BITS_PER_SUM = 2**14
 
 
 def checked_elements(elements: Iterable[int]) -> tuple[int, ...]:
@@ -122,9 +139,25 @@ def is_dss(elements: Iterable[int]) -> bool:
 
 
 def _bitmap_is_cheaper(n: int, total: int) -> bool:
-    """Whether the occupancy scan of n elements summing to ``total`` costs
-    less than the sum-set scan (module docstring)."""
-    return n * total < _BITS_PER_SUM << n
+    """Whether the occupancy scans of a core of n elements summing to
+    ``total`` cost less than the meet in the middle (module docstring)."""
+    return n * total < _BITS_PER_SUM * (3 ** (n // 2) + 3 ** (n - n // 2))
+
+
+def _core(vals: tuple[int, ...]) -> tuple[list[int], int, int]:
+    """The indices of ``vals`` in ascending order of value, the size n of
+    the core ``order[:n]``, and the core's total.
+
+    The core is what is left once every element larger than the sum of all
+    smaller ones is stripped from the top.  Such an element lies in no
+    collision: a subset holding it outweighs any subset without it.
+    """
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    n, total = len(order), sum(vals)
+    while n and 2 * vals[order[n - 1]] > total:
+        n -= 1
+        total -= vals[order[n]]
+    return order, n, total
 
 
 def _first_collision(vals: tuple[int, ...]) -> tuple[int, int] | None:
@@ -132,51 +165,50 @@ def _first_collision(vals: tuple[int, ...]) -> tuple[int, int] | None:
 
     Returns (j, t): ``vals[:j]`` is DSS, ``vals[:j + 1]`` is not, and t is
     the smallest sum that two subsets of ``vals[:j + 1]`` share.  Elements
-    are taken in the order given and must be positive.
+    are taken in the order given and must be positive.  Every collision
+    lies in the core (``_core``), so only the core is scanned, and j and t
+    are those of the whole input.
 
-    The bitmap form first scans the whole set in ascending order.  That
-    scan decides DSS, and on an ascending input its collision is the
-    answer.  Otherwise each further scan tests one candidate i for j: it
-    adds ``vals[:i]`` in ascending order, then ``vals[i]``.  A collision at
+    The bitmap form first scans the core in ascending order.  That scan
+    decides DSS, and on an ascending input its collision is the answer.
+    Otherwise each further scan tests one candidate i for j: it adds
+    ``vals[:i]`` in ascending order, then ``vals[i]``.  A collision at
     ``vals[i]`` means j = i and gives t; an earlier collision means j < i;
     none means j > i.  A scan that collides once it has added the elements
     ``order[:p + 1]`` bounds j by the largest of their caller indices.  The
-    first candidate is the whole-set scan's bound, then the candidates
+    first candidate is the first scan's bound, then the candidates
     bisect, so at most ceil(log2 n) + 2 scans run in all.  A scan's bitmap
     after k elements is no wider than the bitmap of the caller's first k
     elements, though a scan may add more elements than a scan in the
-    caller's order, which stops after j + 1.
+    caller's order, which stops after j + 1.  Elements above the core's top
+    keep their places in the orders and are skipped by the scans.
     """
-    if _bitmap_is_cheaper(len(vals), sum(vals)):
-        order = sorted(range(len(vals)), key=vals.__getitem__)
-        hit = _scan(vals, order)
+    order, n, total = _core(vals)
+    if not n:
+        return None
+    if not _bitmap_is_cheaper(n, total):
+        return _meet_in_the_middle(vals, sorted(order[:n]))
+    cap = vals[order[n - 1]]
+    hit = _scan(vals, order, cap)
+    if hit is None:
+        return None
+    lo, i = 1, None  # lo <= j <= hi; one positive element is DSS
+    while True:
         if hit is None:
-            return None
-        lo, i = 1, None  # lo <= j <= hi; one positive element is DSS
-        while True:
-            if hit is None:
-                lo = i + 1  # vals[:i + 1] is DSS
-            else:
-                p, t = hit
-                hi = max(order[: p + 1])  # vals[:hi + 1] is not DSS
-                if hi == order[p] == p:  # vals[:p] in some order, then vals[p]
-                    return p, t
-            i = hi if i is None else (lo + hi) // 2
-            order = sorted(range(i), key=vals.__getitem__) + [i]
-            hit = _scan(vals, order)
-    sums = {0}
-    for j, a in enumerate(vals):
-        size = len(sums)
-        shifted = [s + a for s in sums]
-        sums.update(shifted)
-        if len(sums) < 2 * size:
-            # The repeated sums are the shifted ones that were already there.
-            return j, min({s - a for s in shifted}.intersection(shifted))
-    return None
+            lo = i + 1  # vals[:i + 1] is DSS
+        else:
+            p, t = hit
+            hi = max(order[: p + 1])  # vals[:hi + 1] is not DSS
+            if hi == order[p] == p:  # vals[:p] in some order, then vals[p]
+                return p, t
+        i = hi if i is None else (lo + hi) // 2
+        order = sorted(range(i), key=vals.__getitem__) + [i]
+        hit = _scan(vals, order, cap)
 
 
-def _scan(vals: tuple[int, ...], order: list[int]) -> tuple[int, int] | None:
-    """Occupancy-bitmap scan that adds ``vals[i]`` for each i in ``order``.
+def _scan(vals: tuple[int, ...], order: list[int], cap: int) -> tuple[int, int] | None:
+    """Occupancy-bitmap scan that adds ``vals[i]`` for each i in ``order``,
+    skipping the values above ``cap``.
 
     Returns None if the subset sums stay distinct, else (p, t): ``order[p]``
     is the first element whose sums repeat an earlier sum, and t is the
@@ -188,6 +220,8 @@ def _scan(vals: tuple[int, ...], order: list[int]) -> tuple[int, int] | None:
     bits, total = 1, 0
     for p, i in enumerate(order):
         a = vals[i]
+        if a > cap:
+            continue
         total += a
         shifted = bits << a
         overlap = bits & shifted
@@ -195,6 +229,43 @@ def _scan(vals: tuple[int, ...], order: list[int]) -> tuple[int, int] | None:
             return p, total + 1 - overlap.bit_length()
         bits |= shifted
     return None
+
+
+def _meet_in_the_middle(vals: tuple[int, ...], core: list[int]) -> tuple[int, int] | None:
+    """``_first_collision`` over the caller indices ``core``, ascending.
+
+    Element a collides with the elements before it iff some signed sum of
+    them (each element added, subtracted or left out) equals a: the
+    elements added then sum to as much as a and the elements subtracted.
+    So the smallest repeated sum is the least positive part (the sum of
+    the elements added) among those signed sums.  The core's first half
+    and the part of its second half before a each keep a dict from signed
+    sum to least positive part (``_signed_sums``), and the test is one
+    lookup per signed sum of the second part.
+    """
+    half = len(core) // 2
+    left, right = {0: 0}, {0: 0}
+    for k, i in enumerate(core):
+        a = vals[i]
+        t = min((p + left[a - w] for w, p in right.items() if a - w in left), default=None)
+        if t is not None:
+            return i, t
+        if k < half:
+            left = _signed_sums(left, a)
+        elif k + 1 < len(core):
+            right = _signed_sums(right, a)
+    return None
+
+
+def _signed_sums(sums: dict[int, int], a: int) -> dict[int, int]:
+    # ``sums`` with a added to, subtracted from or left out of each signed
+    # sum, keeping the least positive part of each.
+    out = dict(sums)
+    for v, p in sums.items():
+        for w, q in ((v - a, p), (v + a, p + a)):
+            if q < out.get(w, q + 1):
+                out[w] = q
+    return out
 
 
 def difference_mask(elements: Iterable[int], off: int) -> int:
@@ -266,28 +337,33 @@ def subset_sum_collision(
     if hit is None:
         return None
     j, t = hit
-    # The two subsets are disjoint: an index in both could be dropped from
-    # both, leaving a smaller sum reached twice than the smallest, t.
-    return _subset_with_sum(vals[:j], t), _subset_with_sum(vals[:j], t - vals[j]) + (j,)
+    # Both subsets lie among the elements before vals[j] that are at most
+    # t, which leaves out every element stripped from the core.  They are
+    # disjoint: an index in both could be dropped from both, leaving a
+    # smaller sum reached twice than the smallest, t.
+    idx = [i for i in range(j) if vals[i] <= t]
+    return _subset_with_sum(vals, idx, t), _subset_with_sum(vals, idx, t - vals[j]) + (j,)
 
 
-def _subset_with_sum(prefix: tuple[int, ...], target: int) -> tuple[int, ...]:
-    """Indices, ascending, of the one subset of the DSS tuple ``prefix`` that
-    sums to ``target``, by meet in the middle over its two halves."""
-    half = len(prefix) // 2
-    low = _sums_with_masks(prefix[:half], 0)
-    for s, mask in _sums_with_masks(prefix[half:], half).items():
+def _subset_with_sum(vals: tuple[int, ...], idx: list[int], target: int) -> tuple[int, ...]:
+    """The indices, ascending, of the one subset of the DSS elements
+    ``vals[i]``, i in ``idx``, that sums to ``target``, by meet in the
+    middle over the two halves of ``idx``."""
+    half = len(idx) // 2
+    low = _sums_with_masks(vals, idx[:half])
+    for s, mask in _sums_with_masks(vals, idx[half:]).items():
         rest = low.get(target - s)
         if rest is not None:
             mask |= rest
-            return tuple(i for i in range(len(prefix)) if mask >> i & 1)
+            return tuple(i for i in idx if mask >> i & 1)
     raise AssertionError("subset reconstruction failed")
 
 
-def _sums_with_masks(part: tuple[int, ...], first: int) -> dict[int, int]:
-    # Every subset sum of a DSS part, mapped to the bitmask of its indices
-    # (part[0] has index ``first``).
+def _sums_with_masks(vals: tuple[int, ...], part: list[int]) -> dict[int, int]:
+    # Every subset sum of the DSS elements vals[i], i in ``part``, mapped to
+    # the bitmask of its indices.
     sums = {0: 0}
-    for i, a in enumerate(part, first):
+    for i in part:
+        a = vals[i]
         sums.update([(s + a, m | 1 << i) for s, m in sums.items()])
     return sums

@@ -13,43 +13,62 @@ from arlabel.check import (
     Labeling,
     SumCollision,
     is_ar_labeling,
-    is_ar_vertex,
     load_labeling,
     save_labeling,
-    third_label_feasible,
     verify_files,
 )
-from arlabel.dss import is_dss
+from arlabel.dss import is_dss, subset_sum_collision
 from arlabel.errors import ParseError
 from arlabel.graphs import complete, path, save_graph, star, wheel
 from conftest import naive_is_dss
 
 
 class TestIsArVertex:
+    """A vertex is an AR-vertex iff its incident labels form a DSS set:
+    ``is_dss`` on those labels, and ``is_ar_labeling`` over the graph."""
+
     def test_degree_one_always_ar(self):
         g = star(3)
-        lab = Labeling((1, 2, 4))
+        lab = Labeling((1, 2, 3))
         for leaf in (1, 2, 3):
-            assert is_ar_vertex(g, lab, leaf) is True
+            assert is_dss([lab.labels[e] for e in g.incident_edges(leaf)]) is True
+        # Only the centre fails.
+        assert is_ar_labeling(g, lab).failure.vertex == 0
 
     def test_degree_two_distinct_labels(self):
         g = path(3)
-        assert is_ar_vertex(g, Labeling((5, 9)), 1) is True
+        assert g.incident_edges(1) == (0, 1)
+        assert is_ar_labeling(g, Labeling((5, 9))).ok
 
     def test_degree_three_collision(self):
-        g = star(3)
-        assert is_ar_vertex(g, Labeling((1, 2, 3)), 0) is False
+        verdict = is_ar_labeling(star(3), Labeling((1, 2, 3)))
+        assert isinstance(verdict.failure, SumCollision)
+        assert verdict.failure.vertex == 0
+        assert is_dss((1, 2, 3)) is False
 
     def test_matches_dss_on_incident_labels(self):
+        # The verdict holds iff every vertex's incident labels are DSS, and
+        # a failure names the first vertex whose labels are not.
         g = wheel(5)
-        lab = Labeling((1, 2, 4, 8, 16, 32, 64, 128))
-        for v in range(g.vertex_count):
-            incident = [lab.labels[e] for e in g.incident_edges(v)]
-            assert is_ar_vertex(g, lab, v) == is_dss(incident)
+        for labels in ((1, 2, 4, 8, 16, 32, 64, 128), (1, 2, 3, 4, 5, 6, 7, 8)):
+            lab = Labeling(labels)
+            bad = [
+                v
+                for v in range(g.vertex_count)
+                if not is_dss([labels[e] for e in g.incident_edges(v)])
+            ]
+            verdict = is_ar_labeling(g, lab)
+            assert verdict.ok == (bad == [])
+            if bad:
+                assert verdict.failure.vertex == bad[0]
 
     def test_duplicate_incident_labels_fail(self):
-        g = star(2)
-        assert is_ar_vertex(g, Labeling((3, 3)), 0) is False
+        verdict = is_ar_labeling(star(2), Labeling((3, 3)))
+        assert isinstance(verdict.failure, DuplicateLabels)
+        # Equal labels collide as singleton subsets.
+        assert subset_sum_collision((3, 3)) == ((0,), (1,))
+        with pytest.raises(ValueError, match="duplicate"):
+            is_dss((3, 3))
 
 
 class TestIsArLabeling:
@@ -120,30 +139,33 @@ class TestIsArLabeling:
 
 
 class TestThirdLabelFeasible:
+    """Given incident labels x and y, a third incident edge may carry z iff
+    z != x + y and z != |x - y|, that is iff {x, y, z} is DSS."""
+
     def test_sum_blocked(self):
-        assert third_label_feasible(2, 5, 7) is False
+        assert is_dss((2, 5, 7)) is False
 
     def test_difference_blocked(self):
-        assert third_label_feasible(2, 5, 3) is False
+        assert is_dss((2, 5, 3)) is False
 
     def test_feasible_triple(self):
         # brute-force: the 8 subset sums of {2, 5, 6} are pairwise distinct
         assert sorted(
             sum(c) for r in range(4) for c in combinations((2, 5, 6), r)
         ) == [0, 2, 5, 6, 7, 8, 11, 13]
-        assert third_label_feasible(2, 5, 6) is True
+        assert is_dss((2, 5, 6)) is True
 
     def test_rejects_non_distinct(self):
         with pytest.raises(ValueError):
-            third_label_feasible(2, 2, 5)
+            is_dss((2, 2, 5))
         with pytest.raises(ValueError):
-            third_label_feasible(1, 0, 5)
+            is_dss((1, 0, 5))
 
     def test_equivalence_with_dss_small_range(self):
         for x, y, z in combinations(range(1, 26), 3):
             expected = is_dss((x, y, z))
-            for perm in permutations((x, y, z)):
-                assert third_label_feasible(*perm) == expected
+            for p, q, r in permutations((x, y, z)):
+                assert (r != p + q and r != abs(p - q)) == expected
 
 
 class TestFiles:

@@ -89,16 +89,18 @@ class TestDssCommands:
         ids=[str(2**40), str(2**62), "total-above-2**63"],
     )
     def test_check_large_elements_dss(self, capsys, elements):
-        # The bitmap would need about total bits; the assertion comes first
-        # so a wrong cost rule fails here instead of allocating it.
-        assert not dss._bitmap_is_cheaper(3, sum(elements))
+        # A bitmap would need about total bits; the assertion comes first
+        # so a wrong core or cost rule fails here instead of allocating it.
+        _, n, total = dss._core(elements)
+        assert not n or not dss._bitmap_is_cheaper(n, total)
         code, out = run(capsys, "dss", "check", *map(str, elements))
         assert code == 0
         assert out.startswith("DSS")
 
     def test_check_large_elements_collision(self, capsys):
         big = 2**40
-        assert not dss._bitmap_is_cheaper(4, 1 + 2 + 3 + big)
+        # 2^40 is stripped, so the bitmap spans the core's total, 6.
+        assert dss._core((1, 2, 3, big))[1:] == (3, 6)
         code, out = run(capsys, "dss", "check", "1", "2", "3", str(big), "--format", "machine")
         assert code == 1
         doc = json.loads(out)

@@ -47,7 +47,7 @@ class TestIsDss:
             is_dss([-3, 1])
 
     def test_decides_dss_total_above_64_bits(self):
-        # The sum-set scan decides it from eight sums.
+        # The meet in the middle decides it from a few signed sums.
         assert is_dss([2**62, 2**62 - 1, 2]) is True
         assert subset_sum_collision([2**62, 2**62 - 1, 2]) is None
 
@@ -264,8 +264,14 @@ class TestSubsetSumCollision:
         assert sum(values[i] for i in a) == sum(values[i] for i in b)
 
 
-def uses_bitmap(values) -> bool:
-    return dss._bitmap_is_cheaper(len(values), sum(values))
+def scan_kind(values) -> str:
+    """Which scan ``_first_collision`` runs on ``values``: "none" when the
+    core is empty, else "bitmap" or "mitm" (meet in the middle), by the
+    cost rule."""
+    _, n, total = dss._core(tuple(values))
+    if not n:
+        return "none"
+    return "bitmap" if dss._bitmap_is_cheaper(n, total) else "mitm"
 
 
 def small_values(rng: random.Random) -> list[int]:
@@ -285,22 +291,108 @@ class TestDispatch:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 16, 40])
     def test_both_sides_of_the_constant(self, n):
-        # The bitmap is taken iff n * total < _BITS_PER_SUM * 2^n.
-        edge = -(-(dss._BITS_PER_SUM << n) // n)  # least total at the edge
+        # The bitmap is taken iff n * total < _BITS_PER_SUM * (3^(n//2) +
+        # 3^(n - n//2)) for a core of n elements.
+        signed_sums = 3 ** (n // 2) + 3 ** (n - n // 2)
+        edge = -(-(dss._BITS_PER_SUM * signed_sums) // n)  # least total at the edge
         assert dss._bitmap_is_cheaper(n, edge - 1)
         assert not dss._bitmap_is_cheaper(n, edge)
 
-    def test_huge_third_element_takes_the_sum_set(self):
-        assert not uses_bitmap([1, 3, 2**30])
+    def test_huge_third_element_is_stripped(self):
+        # No scan at all: 2^30, then 3, then 1 each exceed the rest.
+        assert dss._core((1, 3, 2**30))[1:] == (0, 0)
+        assert scan_kind([1, 3, 2**30]) == "none"
+        # Under a colliding core, only the core's six bits are scanned.
+        assert dss._core((2**30, 3, 1, 2))[1:] == (3, 6)
+        assert scan_kind([2**30, 3, 1, 2]) == "bitmap"
 
     def test_cover_domain_sets_take_the_bitmap(self):
         # Every domain set of the (6, 6) cover search.
-        assert all(uses_bitmap(s.elements) for s in enumerate_dss_sets(6, 36))
+        assert all(scan_kind(s.elements) != "mitm" for s in enumerate_dss_sets(6, 36))
 
-    def test_sixteen_elements_near_two_to_twenty_take_the_bitmap(self):
+    def test_sixteen_elements_near_two_to_twenty_meet_in_the_middle(self):
         # 15 DSS elements 2^20 - 2^i and one that collides: the shape of the
-        # heaviest set the verify benchmark checks.
-        assert uses_bitmap([2**20 - 2**i for i in range(15)] + [2**20 - 5])
+        # heaviest set the verify benchmark checks.  Nothing is stripped,
+        # and 2 * 3^8 signed sums cost less than bitmaps of 2^24 bits.
+        values = [2**20 - 2**i for i in range(15)] + [2**20 - 5]
+        assert dss._core(tuple(values))[1] == 16
+        assert scan_kind(values) == "mitm"
+
+
+class TestCore:
+    """Elements larger than the sum of all smaller ones are stripped before
+    any scan; the certificate stays the whole input's."""
+
+    def test_duplicates_under_a_stripped_top(self):
+        assert dss._core((5, 5, 2**40))[1:] == (2, 10)
+        assert subset_sum_collision((5, 5, 2**40)) == ((0,), (1,))
+        assert subset_sum_collision((2**40, 5, 2**50, 5)) == ((1,), (3,))
+        # Equal tops are never stripped: neither exceeds the other.
+        assert dss._core((2**40, 2**40))[1] == 2
+        assert subset_sum_collision((2**40, 2**40)) == ((0,), (1,))
+
+    def test_scans_skip_the_stripped_top(self):
+        # A scan skips values above the core's top but keeps their places.
+        assert dss._scan((1, 2, 3), [0, 1, 2], 2) is None
+        assert dss._scan((1, 2, 3), [0, 1, 2], 3) == (2, 3)
+        # A DSS core under a stripped 2^24: no bitmap of 2^24 bits (2 MiB).
+        values = (2**24, 3, 5, 6, 7)
+        assert scan_kind(values) == "bitmap"
+        tracemalloc.start()
+        try:
+            assert is_dss(values) and subset_sum_collision(values) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_certificate_skips_the_stripped_prefix(self):
+        # Thirty stripped elements before a colliding core: the subsets
+        # are rebuilt from the elements up to the repeated sum, not from
+        # 2 * 2^16 sums of the whole prefix.
+        values = [2 ** (40 + i) for i in range(30)] + [1, 2, 3]
+        tracemalloc.start()
+        try:
+            assert subset_sum_collision(values) == ((30, 31), (32,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_superincreasing_top_above_colliding_core(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(100):
+            values = [rng.randint(1, 20) for _ in range(rng.randint(3, 6))]
+            below = sum(values)
+            for _ in range(rng.randint(1, 4)):
+                top = below + rng.randint(1, 2 ** rng.choice([3, 40]))
+                values.append(top)
+                below += top
+            core_size = dss._core(tuple(values))[1]
+            rng.shuffle(values)
+            assert dss._core(tuple(values))[1] == core_size <= len(values) - 1
+            assert subset_sum_collision(values) == naive_collision(values), values
+            if len(set(values)) == len(values):
+                assert is_dss(values) == naive_is_dss(values), values
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=40),
+                # multiples of 2^30 collide among themselves as small values do
+                st.integers(min_value=1, max_value=12).map(lambda k: k << 30),
+                st.integers(min_value=2**30, max_value=2**34),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_mixtures_of_small_and_large_match_naive(self, values):
+        assert subset_sum_collision(values) == naive_collision(values)
+        if len(set(values)) == len(values):
+            assert is_dss(values) == naive_is_dss(values)
 
 
 class TestCertificatesAcrossPaths:
@@ -311,27 +403,43 @@ class TestCertificatesAcrossPaths:
         rng = random.Random(seed)
         for _ in range(150):
             values = small_values(rng)
-            assert uses_bitmap(values)
+            assert scan_kind(values) != "mitm"
             assert subset_sum_collision(values) == naive_collision(values), values
             if len(set(values)) == len(values):
                 assert is_dss(values) == naive_is_dss(values), values
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_sum_set_path_matches_naive(self, seed):
+    def test_meet_in_the_middle_path_matches_naive(self, seed):
         rng = random.Random(100 + seed)
         for _ in range(150):
             values = large_values(rng)
-            assert not uses_bitmap(values)
+            assert scan_kind(values) != "bitmap"
+            assert subset_sum_collision(values) == naive_collision(values), values
+            if len(set(values)) == len(values):
+                assert is_dss(values) == naive_is_dss(values), values
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forced_meet_in_the_middle_matches_naive(self, seed, monkeypatch):
+        # Small values, whose cores the cost rule sends to the bitmap, with
+        # the meet in the middle forced: every core size and every place
+        # of the colliding element relative to the two halves.
+        monkeypatch.setattr(dss, "_bitmap_is_cheaper", lambda n, total: False)
+        rng = random.Random(200 + seed)
+        for _ in range(300):
+            values = small_values(rng)
             assert subset_sum_collision(values) == naive_collision(values), values
             if len(set(values)) == len(values):
                 assert is_dss(values) == naive_is_dss(values), values
 
     def test_both_paths_see_collisions_and_clean_sets(self):
-        # The seeded inputs above are not all DSS and not all colliding.
+        # The seeded inputs above are not all DSS and not all colliding,
+        # and each family reaches its scan.
         rng = random.Random(0)
-        for draw in (small_values, large_values):
-            found = {subset_sum_collision(draw(rng)) is None for _ in range(200)}
+        for draw, kind in ((small_values, "bitmap"), (large_values, "mitm")):
+            inputs = [draw(rng) for _ in range(200)]
+            found = {subset_sum_collision(values) is None for values in inputs}
             assert found == {True, False}
+            assert kind in map(scan_kind, inputs)
 
 
 def caller_order_collision(values):
@@ -395,10 +503,10 @@ class TestCertificatesAtScale:
             else:
                 earlier += 1
         assert last and earlier
-        assert sum(map(uses_bitmap, sets)) > len(sets) // 2
+        assert {scan_kind(values) for values in sets} == {"bitmap", "mitm"}
 
     @pytest.mark.parametrize("order", ["given", "ascending", "descending", "shuffled"])
-    def test_guard_shape_in_every_order(self, order):
+    def test_guard_shape_in_every_order(self, order, monkeypatch):
         values = list(GUARD_SHAPE)
         if order == "ascending":
             values.sort()
@@ -406,8 +514,12 @@ class TestCertificatesAtScale:
             values.sort(reverse=True)
         elif order == "shuffled":
             random.Random(16).shuffle(values)
-        assert uses_bitmap(values)
-        assert subset_sum_collision(values) == caller_order_collision(values)
+        assert scan_kind(values) == "mitm"
+        expected = caller_order_collision(values)
+        assert subset_sum_collision(values) == expected
+        # The bitmap scans, forced, give the same certificate.
+        monkeypatch.setattr(dss, "_bitmap_is_cheaper", lambda n, total: True)
+        assert subset_sum_collision(values) == expected
 
     def test_smallest_repeated_sum_read_from_the_top_bit(self):
         # The scan reads t off the overlap's top bit; it must be the low
@@ -423,7 +535,7 @@ class TestCertificatesAtScale:
                 sorted(range(len(values)), key=values.__getitem__),
                 rng.sample(range(len(values)), len(values)),
             ):
-                hit = dss._scan(values, order)
+                hit = dss._scan(values, order, max(values))
                 if hit is None:
                     continue
                 p, t = hit
@@ -444,13 +556,13 @@ class TestScanCost:
         # elements is no wider than the caller's first k elements make.
         orders = []
         scan = dss._scan
-        monkeypatch.setattr(dss, "_scan", lambda v, o: orders.append(o) or scan(v, o))
+        monkeypatch.setattr(dss, "_scan", lambda v, o, c: orders.append(o) or scan(v, o, c))
         rng = random.Random(5)
         inputs = [small_values(rng) for _ in range(2000)] + [
             [rng.randint(1, 3 * n) for _ in range(n)] for n in range(2, 17) for _ in range(50)
         ]
         for values in inputs:
-            assert uses_bitmap(values)
+            assert scan_kind(values) != "mitm"
             orders.clear()
             subset_sum_collision(values)
             assert len(orders) <= math.ceil(math.log2(len(values))) + 2, values
@@ -460,16 +572,26 @@ class TestScanCost:
             if len(set(values)) == len(values):
                 orders.clear()
                 is_dss(values)
-                assert len(orders) == 1
+                assert len(orders) == (scan_kind(values) == "bitmap")
+
+    def test_descending_guard_shape_runs_no_scan(self, monkeypatch):
+        # The meet in the middle finds (2^20-1) + (2^20-8) = (2^20-4) +
+        # (2^20-5) within the first five elements; no bitmap is built.
+        scans = []
+        scan = dss._scan
+        monkeypatch.setattr(dss, "_scan", lambda v, o, c: scans.append(o) or scan(v, o, c))
+        values = sorted(GUARD_SHAPE, reverse=True)
+        assert subset_sum_collision(values) == caller_order_collision(values)
+        assert scans == []
 
     @pytest.mark.parametrize("check", [is_dss, subset_sum_collision])
     def test_guard_shape_peak_memory(self, check):
-        # The scan holds at most the bitmap, its shift and their overlap.
-        width = (sum(GUARD_SHAPE) + 1) / 8  # bytes of the set's bitmap
+        # Two dicts of at most 3^8 signed sums, against 2 MiB for one
+        # bitmap of the set's total.
         tracemalloc.start()
         try:
             check(GUARD_SHAPE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * width
+        assert peak < 2**20
