@@ -284,37 +284,56 @@ def difference_mask(elements: Iterable[int], off: int) -> int:
 
 
 def enumerate_dss_sets(size: int, cap: int) -> list[DssSet]:
-    """All size-element DSS subsets of {1..cap}, in lexicographic order.
-
-    Depth-first over difference masks (module docstring), lowest label
-    first, screening each level's candidates with one AND.  The search only
-    stands on DSS prefixes, so each set it completes is not checked again.
-    """
+    """All size-element DSS subsets of {1..cap}, in lexicographic order:
+    the sets with smallest element 1, then 2, and so on
+    (``_dss_sets_with_min``)."""
     if size < 1:
         raise ValueError(f"size {size} must be at least 1")
     if size > cap:
         raise ValueError(f"size {size} exceeds cap {cap}")
+    results: list[DssSet] = []
+    for low in range(1, cap - size + 2):
+        results += _dss_sets_with_min(size, cap, low)
+    return results
+
+
+def _dss_sets_with_min(size: int, cap: int, low: int) -> list[DssSet]:
+    """The size-element DSS subsets of {1..cap} whose smallest element is
+    ``low``, in lexicographic order; 1 <= size <= cap - low + 1.
+
+    Depth-first over difference masks (module docstring), lowest label
+    first, screening each level's candidates with one AND; the last pick
+    takes every legal label at once.  The search only stands on DSS
+    prefixes, so each set it completes is not checked again.
+    """
+    if size == 1:
+        return [DssSet._proved((low,))]
     off = size * cap  # no size elements of {1..cap} sum to more
     results: list[DssSet] = []
-    chosen: list[int] = []
+    chosen = [low]
 
     # extend is handed itself rather than closing over its own name, so no
     # reference cycle keeps the results alive after the call.
     def extend(z: int, cand: int, remaining: int, extend) -> None:
-        if remaining == 0:
-            results.append(DssSet._proved(tuple(chosen)))
-            return
         cand &= ~(z >> off)
+        if remaining == 1:
+            prefix = tuple(chosen)
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                results.append(DssSet._proved(prefix + (bit.bit_length() - 1,)))
+            return
         # The smallest label still to pick leaves remaining - 1 more above it.
         while cand.bit_count() >= remaining:
-            low = cand & -cand
-            cand ^= low
-            a = low.bit_length() - 1
+            bit = cand & -cand
+            cand ^= bit
+            a = bit.bit_length() - 1
             chosen.append(a)
             extend(z | z << a | z >> a, cand, remaining - 1, extend)
             chosen.pop()
 
-    extend(1 << off, (1 << (cap + 1)) - 2, size, extend)
+    z = 1 << off
+    extend(z | z << low | z >> low, (1 << (cap + 1)) - (2 << low), size - 1, extend)
     return results
 
 

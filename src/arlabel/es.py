@@ -10,13 +10,18 @@ in its exact form.  The sum of a uniformly random subset of an n-set has
 variance sum(a^2)/4.  For a DSS set that sum takes 2^n distinct integer
 values with equal probability, so its variance is at least (4^n - 1)/12.
 Hence every DSS n-set has sum(a^2) >= (4^n - 1)/3.
+
+Candidate maxima are tried upward from the largest of three proved lower
+bounds, none of them read from the table of known values: counting,
+Erdos-Moser, and C(n, floor(n/2)) (Dubroff, Fox & Xu).  The prefix floors
+inside the search still come from ``es_floor``, which reads the table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import isqrt
+from math import comb, isqrt
 
 from .dss import DssSet, difference_mask, is_dss
 from .errors import SearchTimeout
@@ -31,6 +36,12 @@ KNOWN_ES = {1: 1, 2: 2, 3: 4, 4: 7, 5: 13, 6: 24, 7: 44, 8: 84, 9: 161}
 # 2^n and the Conway-Guy values must stay inside a 64-bit word.
 _MAX_N = 62
 MAX_TOTAL = 2**63 - 1
+
+# The widest difference mask the exact search builds, in bits (512 KiB).  A
+# candidate maximum x takes 2*n*x + 1 bits; above the cap the search stops
+# with x undecided instead of building it.  The start C(n, n/2) fits up to
+# n = 19; at n = 40 the mask would take about 10^12 bytes.
+_MAX_MASK_BITS = 1 << 22
 
 
 def _check_n(n: int) -> None:
@@ -148,8 +159,10 @@ def _witness_with_max(
         (4^n - 1)/3, and the rem elements still to pick add at most
         sum_{i<rem} (a - i)^2.
     Each cuts only subtrees that hold no DSS set, so the first witness is
-    the one plain enumeration in this order finds.  On timeout raises
-    SearchTimeout(nodes).
+    the one plain enumeration in this order finds.  Each element tried
+    counts one node.  On timeout raises SearchTimeout(nodes), and before a
+    difference mask wider than ``_MAX_MASK_BITS`` would be built it raises
+    SearchTimeout(0): x is then left undecided.
     """
     if n == 1:
         return (x,), 0
@@ -157,7 +170,16 @@ def _witness_with_max(
     # target less the constant term sum_{i<rem} i^2 of the expansion.
     squares = ((1 << 2 * n) - 1) // 3
     need = [squares - (rem - 1) * rem * (2 * rem - 1) // 6 for rem in range(n)]
+    # The root's bounds, tested before its mask is built: an x they refute
+    # costs no mask.
+    if floors[n - 1] > x - 1 or _square_floor(n - 1, need[n - 1] - x * x) > x - 1:
+        return None, 0
+    if n == 2:  # {b, x} is DSS for every b < x: take the largest, one node
+        return (x - 1, x), 1
     off = n * x  # no n distinct elements of {1..x} sum to more
+    if 2 * off + 1 > _MAX_MASK_BITS:
+        raise SearchTimeout(0)
+    f1 = floors[1]
     nodes = 0
     monotonic = time.monotonic
 
@@ -165,40 +187,73 @@ def _witness_with_max(
     # reference cycle outlives the search.
     def down(z: int, hi: int, rem: int, sq: int, down) -> tuple[int, ...] | None:
         nonlocal nodes
-        lo = max(floors[rem], _square_floor(rem, need[rem] - sq))
+        lo = floors[rem]
+        floor = _square_floor(rem, need[rem] - sq)
+        if floor > lo:
+            lo = floor
         if lo > hi:
             return None
-        cand = ((1 << (hi + 1)) - (1 << lo)) & ~(z >> off)
+        h = z >> off
+        cand = ((1 << (hi + 1)) - (1 << lo)) & ~h
+        if rem > 2:
+            while cand:
+                a = cand.bit_length() - 1
+                cand ^= 1 << a
+                nodes += 1
+                if nodes & 1023 == 0 and monotonic() > deadline:
+                    raise SearchTimeout(nodes)
+                rest = down(z | z << a | z >> a, a - 1, rem - 1, sq + a * a, down)
+                if rest is not None:
+                    return rest + (a,)
+            return None
+        # The last two picks in one loop, with no call per candidate.  The
+        # last element b < a must reach the squares' target alone, so
+        # b >= ceil(sqrt(deficit)); that floor is at most a - 1 because a
+        # passed the rem == 2 bound, and floors[1] < floors[2] <= a.  The
+        # labels legal after a are the clear bits of
+        # (z | z << a | z >> a) >> off, computed here from h without the
+        # shifts of z that do not reach them.
+        target = squares - sq
         while cand:
             a = cand.bit_length() - 1
             cand ^= 1 << a
             nodes += 1
             if nodes & 1023 == 0 and monotonic() > deadline:
                 raise SearchTimeout(nodes)
-            if rem == 1:
-                return (a,)
-            rest = down(z | z << a | z >> a, a - 1, rem - 1, sq + a * a, down)
-            if rest is not None:
-                return rest + (a,)
+            deficit = target - a * a
+            lo1 = isqrt(deficit - 1) + 1 if deficit > 0 else 0
+            if lo1 < f1:
+                lo1 = f1
+            last = ((1 << a) - (1 << lo1)) & ~(h | z >> (off - a) | h >> a)
+            if last:
+                nodes += 1
+                return (last.bit_length() - 1, a)
         return None
 
     tail = down(difference_mask((x,), off), x - 1, n - 1, x * x, down)
     return (None if tail is None else tail + (x,)), nodes
 
 
+def _es_start(n: int) -> int:
+    """The largest of the table-free lower bounds on ES(n): counting,
+    Erdos-Moser, and C(n, floor(n/2)) (Dubroff, Fox & Xu, SIAM J. Discrete
+    Math. 35, 2021)."""
+    return max(erdos_counting_lb(n), erdos_moser_lb(n), comb(n, n // 2))
+
+
 def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | None, int]:
-    """("computed", ES(n), witness, nodes) or ("timeout", first unrefuted x,
-    None, nodes)."""
-    lo = max(erdos_counting_lb(n), erdos_moser_lb(n))
-    if n - 1 >= 1 and n - 1 <= 9:
-        # Deleting the maximum of an optimal witness shows ES(n) > ES(n-1).
-        lo = max(lo, KNOWN_ES[n - 1] + 1)
+    """("computed", ES(n), witness, nodes) or ("timeout", first undecided x,
+    None, nodes).  The clock is read once per candidate maximum x as well as
+    every 1024 nodes inside the search, so a run of x that take few nodes
+    each still stops on time."""
     hi = conway_guy_u(n)
     floors = [0] * n
     for j in range(1, n):
         floors[j] = es_floor(j)
     nodes = 0
-    for x in range(lo, hi + 1):
+    for x in range(_es_start(n), hi + 1):
+        if time.monotonic() > deadline:
+            return ("timeout", x, None, nodes)
         try:
             witness, used = _witness_with_max(n, x, floors, deadline)
         except SearchTimeout as stop:
@@ -247,7 +302,7 @@ def es_table(n_max: int, budget_s: float = 60.0) -> dict[int, EsRecord]:
                 value = KNOWN_ES[n]
                 rec = EsRecord(n, KNOWN, value, value, conway_guy_set(n), nodes)
             else:
-                lower = max(erdos_counting_lb(n), erdos_moser_lb(n))
+                lower = _es_start(n)
                 prev = table[n - 1].value
                 if prev is not None:
                     lower = max(lower, prev + 1)

@@ -9,11 +9,11 @@ the dss module docstring), so the labels legal at both endpoints of an edge
 come from one AND of the free labels against the two masks.  A forward
 check then skips a label after which an endpoint with r unlabeled edges has
 no r free labels that are DSS together with its labels so far
-(``can_complete``, an exact search on the endpoint's mask).  A kernel run
-remembers those answers in a memo of at most ``_COMPLETION_MEMO_CAP``
-entries, freed when the run returns.  Both cuts remove only subtrees
-without a labeling, so a run's first witness is the one a plain 1..k scan
-would find.
+(``can_complete``, an exact search on the endpoint's mask; for r == 1 the
+AND of the free labels against the new mask).  A kernel run remembers
+those answers in a memo of at most ``_COMPLETION_MEMO_CAP`` entries, freed
+when the run returns.  Both cuts remove only subtrees without a labeling,
+so a run's first witness is the one a plain 1..k scan would find.
 
 ``find_ar_labeling`` runs the kernel once, or, when label k must be used,
 once per edge orbit of the graph's automorphism group with k pinned to the
@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from .check import Labeling, is_ar_labeling
-from .dss import DssSet, enumerate_dss_sets
+from .dss import DssSet, _dss_sets_with_min
 from .errors import SearchTimeout, UnsupportedSizeError
 from .es import conway_guy_set, conway_guy_u, es, es_floor
 from .graphs import Graph, wheel
@@ -65,7 +65,9 @@ class SearchStats:
     endpoint of the edge.  ``forward_prunes``: labels cut because an
     endpoint could not be completed to a DSS set.  ``probes``:
     difference-mask tests that completion check made (calls of
-    ``can_complete``); an answer the search remembered makes none.
+    ``can_complete``); an answer the search remembered makes none, and
+    neither does the question whether one more label fits (r == 1), which
+    the kernel answers from its own AND.
     ``counting_refuted``: the degree-counting argument refuted k before any
     search.
     """
@@ -209,7 +211,8 @@ def find_ar_labeling(
     with k on that edge, so the runs together miss no labeling.  Label k
     must be used when k == m (the labels are then 1..m) or when the caller
     sets ``_require_label_k`` because k-1 is already refuted, as iterative
-    deepening does.  The runs share the budget and add up their stats.
+    deepening does.  The runs share the budget and add up their stats; the
+    orbit computation runs under the same budget.
     """
     cfg = cfg or SearchConfig()
     if k < 1:
@@ -234,16 +237,19 @@ def find_ar_labeling(
         stats.counting_refuted = True
         return SearchOutcome(None, True, stats)
 
-    pins = [fixed]
-    if not fixed and (_require_label_k or k == m):
-        orbits = g.edge_orbits
-        firsts: dict[int, int] = {}
-        for e in _search_order(g):
-            firsts.setdefault(orbits[e], e)
-        pins = [{e: k} for e in firsts.values()]
     deadline = time.monotonic() + cfg.budget_s
+    pins = [fixed]
     labels = None
     try:
+        if not fixed and (_require_label_k or k == m):
+            # Imported here, as by Graph.edge_orbits: only this search needs it.
+            from .orbits import edge_orbits_by
+
+            orbits = edge_orbits_by(g, deadline)
+            firsts: dict[int, int] = {}
+            for e in _search_order(g):
+                firsts.setdefault(orbits[e], e)
+            pins = [{e: k} for e in firsts.values()]
         for pin in pins:
             labels = _search(g, k, pin, stats, deadline)
             if labels is not None:
@@ -301,12 +307,15 @@ def _search(
     monotonic = time.monotonic
     # can_complete's answers in this search.  A difference mask is symmetric
     # about off, so its upper half holds all of it, and only the legal free
-    # labels matter: (z >> off, legal, r) fixes the answer.
+    # labels matter: (z >> off, legal, r) fixes the answer.  One more label
+    # (r == 1) needs only a legal one, which the AND itself shows.
     memo: dict[tuple[int, int, int], bool] = {}
 
     def completes(nz: int, rest: int, r: int) -> bool:
         high = nz >> off
         legal = rest & ~high
+        if r == 1:
+            return legal != 0
         key = (high, legal, r)
         ok = memo.get(key)
         if ok is None:
@@ -431,28 +440,28 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
     n) to be an AR-graph: the m stars on the small side partition the m*n
     labels into m DSS sets.  Since m disjoint n-sets exhaust {1..m*n}, the
     search is an exact-cover walk that always covers the smallest unused
-    element next.
+    element next.  So it only needs the sets whose smallest element is that
+    one: they are listed when the walk first reaches it, and kept for the
+    rest of the call.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if m > n:
         raise ValueError(f"expected m <= n, got ({m}, {n})")
     ground = m * n
-    candidates = enumerate_dss_sets(n, ground)
-    masks = []
-    for ds in candidates:
-        mask = 0
-        for a in ds:
-            mask |= 1 << a
-        masks.append(mask)
-    by_min: dict[int, list[int]] = {}
-    for i, ds in enumerate(candidates):
-        by_min.setdefault(ds.elements[0], []).append(i)
-    full = 0
-    for a in range(1, ground + 1):
-        full |= 1 << a
+    full = (1 << (ground + 1)) - 2  # elements 1..ground
+    by_min: dict[int, list[tuple[int, DssSet]]] = {}
 
-    chosen: list[int] = []
+    def with_min(low: int) -> list[tuple[int, DssSet]]:
+        # (element bitmask, set) for each candidate set with minimum low.
+        # At least n elements are free, so low <= ground - n + 1.
+        found = by_min.get(low)
+        if found is None:
+            sets = _dss_sets_with_min(n, ground, low)
+            found = by_min[low] = [(sum(1 << a for a in ds), ds) for ds in sets]
+        return found
+
+    chosen: list[DssSet] = []
 
     # cover is handed itself rather than closing over its own name, so no
     # reference cycle keeps the candidates alive after the call.
@@ -460,20 +469,16 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
         if len(chosen) == m:
             return True
         free = full & ~used_mask
-        lowest = (free & -free).bit_length() - 1
-        for i in by_min.get(lowest, ()):
-            cand_mask = masks[i]
+        for cand_mask, ds in with_min((free & -free).bit_length() - 1):
             if cand_mask & used_mask:
                 continue
-            chosen.append(i)
+            chosen.append(ds)
             if cover(used_mask | cand_mask, cover):
                 return True
             chosen.pop()
         return False
 
-    if cover(0, cover):
-        return [candidates[i] for i in chosen]
-    return None
+    return chosen if cover(0, cover) else None
 
 
 def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:

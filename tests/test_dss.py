@@ -212,6 +212,17 @@ class TestEnumerate:
         assert len(sets) > 100
         assert all(is_dss(s.elements) and s == DssSet(s.elements) for s in sets)
 
+    def test_concatenation_of_lists_by_minimum(self):
+        # The lists by smallest element are what disjoint_dss_cover reads;
+        # in order of that element they make the whole enumeration.
+        for size in range(1, 7):
+            for cap in range(size, 31):
+                by_min = [
+                    dss._dss_sets_with_min(size, cap, low) for low in range(1, cap - size + 2)
+                ]
+                assert all(s.elements[0] == low for low, sets in enumerate(by_min, 1) for s in sets)
+                assert enumerate_dss_sets(size, cap) == [s for sets in by_min for s in sets]
+
     def test_size_above_cap_rejected(self):
         with pytest.raises(ValueError):
             enumerate_dss_sets(4, 3)

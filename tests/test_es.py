@@ -16,6 +16,7 @@ from arlabel.es import (
     KNOWN,
     KNOWN_ES,
     EsRecord,
+    _es_start,
     _square_floor,
     _witness_with_max,
     conway_guy_set,
@@ -153,8 +154,10 @@ class TestEsSearch:
 
     def test_node_counts_pinned(self):
         # Node counts are deterministic; a weakened or disabled prune grows
-        # them (without the second-moment bound ES(7) takes 354,359).
-        expected = {5: 47, 6: 1_650, 7: 93_904}
+        # them (without the second-moment bound ES(7) takes 354,359).  The
+        # search starts at C(n, n/2): from ES(n-1) + 1, ES(6) and ES(7) took
+        # 21 and 127 more nodes below it.
+        expected = {5: 47, 6: 1_629, 7: 93_777}
         for n, nodes in expected.items():
             assert es(n, budget_s=60).nodes == nodes
 
@@ -168,14 +171,32 @@ class TestEsSearch:
         assert rec.status == BOUND_ONLY
         assert rec.value is None
         assert rec.witness is None
-        # everything below ES(8)+1 = 85 is refuted analytically up front
-        assert 85 <= rec.lower <= 161
+        # everything below C(9, 4) = 126 is refuted analytically up front
+        assert 126 <= rec.lower <= 161
         assert rec.upper == 161
         assert rec.nodes > 0  # the work done before the budget ran out
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             es(3, budget_s=0)
+
+    def test_start_needs_no_table(self):
+        # The search starts at a proved bound, C(n, n/2) from n = 4 on
+        # (Dubroff, Fox & Xu), not at the published ES(n-1) + 1.
+        for n, value in KNOWN_ES.items():
+            assert math.comb(n, n // 2) <= value
+        assert [_es_start(n) for n in range(1, 10)] == [1, 2, 3, 6, 10, 20, 35, 70, 126]
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_large_n_stops_within_budget(self, n):
+        # At n = 24 nearly every candidate maximum is refuted before any
+        # node, and at n = 40 one difference mask would take about 10^12
+        # bytes: both must end as a bound-only interval on time.
+        start = time.monotonic()
+        rec = es(n, budget_s=0.2)
+        assert time.monotonic() - start < 1.0
+        assert rec.status == BOUND_ONLY
+        assert math.comb(n, n // 2) <= rec.lower <= rec.upper == conway_guy_u(n)
 
 
 def _first_by_brute_force(n: int, x: int) -> tuple[int, ...] | None:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import os
+import random
 from itertools import combinations
 
 import pytest
 
-from arlabel import solver
+from arlabel import dss, solver
 from arlabel.check import is_ar_labeling
-from arlabel.dss import difference_mask, is_dss
+from arlabel.dss import difference_mask, enumerate_dss_sets, is_dss
 from arlabel.errors import UnsupportedSizeError
 from arlabel.es import KNOWN_ES, conway_guy_set, es_floor
 from arlabel.graphs import (
@@ -439,6 +440,25 @@ def _check_pin_agrees(g, k):
             assert naive_is_dss([out.labeling.labels[e] for e in g.incident_edges(v)])
 
 
+class TestOrbitBudget:
+    def test_orbit_search_honours_budget(self, slow_clock):
+        # A perfect matching of 40 edges with shuffled vertex numbers: its
+        # orbit search individualises one edge per level, 39 levels deep,
+        # for each edge it pairs with the first (about 0.6 s).
+        perm = list(range(80))
+        random.Random(1).shuffle(perm)
+        g = Graph(80, tuple((perm[2 * i], perm[2 * i + 1]) for i in range(40)))
+        out = find_ar_labeling(g, 40, SearchConfig(budget_s=0.01))
+        assert out.labeling is None and not out.exhausted
+        assert out.stats.nodes == 0
+        # The stopped search kept nothing.  Once the orbits are known, the
+        # same budget suffices: the kernel takes 39 nodes, no clock check.
+        assert "edge_orbits" not in vars(g)
+        assert g.edge_orbits == (0,) * 40
+        out = find_ar_labeling(g, 40, SearchConfig(budget_s=0.01))
+        assert out.labeling is not None and out.exhausted
+
+
 class TestDisjointCover:
     def test_cover_2_2_found(self):
         cover = disjoint_dss_cover(2, 2)
@@ -467,6 +487,47 @@ class TestDisjointCover:
         elements = [a for ds in cover for a in ds.elements]
         assert sorted(elements) == list(range(1, 37))
         assert all(naive_is_dss(ds.elements) for ds in cover)
+
+    def test_same_cover_as_walk_over_full_list(self):
+        # The walk over every DSS n-subset of {1..mn}, covering the smallest
+        # free element next, as the cover search did before it listed the
+        # candidates by smallest element on demand.
+        def reference(m, n):
+            sets = [set(ds.elements) for ds in enumerate_dss_sets(n, m * n)]
+
+            def walk(free):
+                if not free:
+                    return []
+                for c in sets:
+                    if min(c) == min(free) and c <= free:
+                        rest = walk(free - c)
+                        if rest is not None:
+                            return [sorted(c)] + rest
+                return None
+
+            return walk(set(range(1, m * n + 1)))
+
+        for n in range(1, 7):
+            for m in range(1, min(n, 5) + 1):
+                cover = disjoint_dss_cover(m, n)
+                got = None if cover is None else [list(ds.elements) for ds in cover]
+                assert got == reference(m, n), (m, n)
+
+    def test_candidates_listed_by_minimum_on_demand(self, monkeypatch):
+        # No DSS 6-subset of {1..24} holds 1 (ES(6) = 24 has one witness,
+        # which starts at 11), so the (4,6) walk stops at element 1 and
+        # lists no other candidates.
+        asked = []
+        listing = dss._dss_sets_with_min
+
+        def recording(size, cap, low):
+            asked.append(low)
+            return listing(size, cap, low)
+
+        monkeypatch.setattr(dss, "_dss_sets_with_min", recording)
+        monkeypatch.setattr(solver, "_dss_sets_with_min", recording)
+        assert disjoint_dss_cover(4, 6) is None
+        assert asked == [1]
 
     def test_orientation_checked(self):
         with pytest.raises(ValueError):
