@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .check import Verdict, save_labeling, verify_files
 from .dss import checked_elements, enumerate_dss_sets, subset_sum_collision
-from .es import BOUND_ONLY, es
+from .es import BOUND_ONLY, STOPPED_BY_MASK_CAP, es
 from .graphs import (
     Graph,
     bistar,
@@ -100,9 +100,14 @@ def cmd_es(args: argparse.Namespace) -> int:
         "value": rec.value,
         "witness": list(rec.witness.elements) if rec.witness else None,
         "nodes": rec.nodes,
+        "stopped_by": rec.stopped_by,
     }
     if rec.status == BOUND_ONLY:
-        text = f"ES({rec.n}) in [{rec.lower}, {rec.upper}]  (bound-only: budget exhausted)"
+        if rec.stopped_by == STOPPED_BY_MASK_CAP:
+            why = f"candidate maximum {rec.lower} needs a difference mask above the cap"
+        else:
+            why = "budget exhausted"
+        text = f"ES({rec.n}) in [{rec.lower}, {rec.upper}]  (bound-only: {why})"
         _emit(args, text, machine)
         return BUDGET_EXHAUSTED
     text = f"ES({rec.n}) = {rec.value}\nwitness: {list(rec.witness.elements)}\nstatus: {rec.status}"

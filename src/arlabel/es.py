@@ -30,6 +30,12 @@ COMPUTED = "computed"
 KNOWN = "known"
 BOUND_ONLY = "bound-only"
 
+# Why a search left ES(n) bound-only: its budget ran out, or the next
+# candidate maximum needs a difference mask above ``_MAX_MASK_BITS``, which
+# no budget would change.
+STOPPED_BY_BUDGET = "budget"
+STOPPED_BY_MASK_CAP = "mask cap"
+
 # The nine known values of the sequence; everything beyond is open.
 KNOWN_ES = {1: 1, 2: 2, 3: 4, 4: 7, 5: 13, 6: 24, 7: 44, 8: 84, 9: 161}
 
@@ -42,6 +48,10 @@ MAX_TOTAL = 2**63 - 1
 # with x undecided instead of building it.  The start C(n, n/2) fits up to
 # n = 19; at n = 40 the mask would take about 10^12 bytes.
 _MAX_MASK_BITS = 1 << 22
+
+
+class _MaskCapReached(Exception):
+    """A candidate maximum needs a mask wider than ``_MAX_MASK_BITS``."""
 
 
 def _check_n(n: int) -> None:
@@ -106,7 +116,12 @@ def conway_guy_set(n: int) -> DssSet:
 
 @dataclass(frozen=True)
 class EsRecord:
-    """One row of the ES table: exact value or certified interval."""
+    """One row of the ES table: exact value or certified interval.
+
+    ``stopped_by`` says why a search left the row bound-only
+    (``STOPPED_BY_BUDGET`` or ``STOPPED_BY_MASK_CAP``); it is None when the
+    search finished.
+    """
 
     n: int
     status: str  # COMPUTED | KNOWN | BOUND_ONLY
@@ -114,6 +129,7 @@ class EsRecord:
     upper: int
     witness: DssSet | None
     nodes: int = field(default=0, compare=False)  # search nodes this record took
+    stopped_by: str | None = field(default=None, compare=False)
 
     @property
     def value(self) -> int | None:
@@ -162,7 +178,7 @@ def _witness_with_max(
     the one plain enumeration in this order finds.  Each element tried
     counts one node.  On timeout raises SearchTimeout(nodes), and before a
     difference mask wider than ``_MAX_MASK_BITS`` would be built it raises
-    SearchTimeout(0): x is then left undecided.
+    _MaskCapReached: x is then left undecided.
     """
     if n == 1:
         return (x,), 0
@@ -178,7 +194,7 @@ def _witness_with_max(
         return (x - 1, x), 1
     off = n * x  # no n distinct elements of {1..x} sum to more
     if 2 * off + 1 > _MAX_MASK_BITS:
-        raise SearchTimeout(0)
+        raise _MaskCapReached
     f1 = floors[1]
     nodes = 0
     monotonic = time.monotonic
@@ -242,10 +258,11 @@ def _es_start(n: int) -> int:
 
 
 def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | None, int]:
-    """("computed", ES(n), witness, nodes) or ("timeout", first undecided x,
-    None, nodes).  The clock is read once per candidate maximum x as well as
-    every 1024 nodes inside the search, so a run of x that take few nodes
-    each still stops on time."""
+    """("computed", ES(n), witness, nodes), or (why it stopped, first
+    undecided x, None, nodes), where why is ``STOPPED_BY_BUDGET`` or
+    ``STOPPED_BY_MASK_CAP``.  The clock is read once per candidate maximum x
+    as well as every 1024 nodes inside the search, so a run of x that take
+    few nodes each still stops on time."""
     hi = conway_guy_u(n)
     floors = [0] * n
     for j in range(1, n):
@@ -253,11 +270,13 @@ def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | Non
     nodes = 0
     for x in range(_es_start(n), hi + 1):
         if time.monotonic() > deadline:
-            return ("timeout", x, None, nodes)
+            return (STOPPED_BY_BUDGET, x, None, nodes)
         try:
             witness, used = _witness_with_max(n, x, floors, deadline)
         except SearchTimeout as stop:
-            return ("timeout", x, None, nodes + stop.args[0])
+            return (STOPPED_BY_BUDGET, x, None, nodes + stop.args[0])
+        except _MaskCapReached:
+            return (STOPPED_BY_MASK_CAP, x, None, nodes)
         nodes += used
         if witness is not None:
             return (COMPUTED, x, witness, nodes)
@@ -267,9 +286,10 @@ def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | Non
 def es(n: int, budget_s: float = 60.0) -> EsRecord:
     """Compute ES(n) exactly with a certified witness, within ``budget_s``.
 
-    On timeout the record degrades to a bound-only interval [first candidate
-    maximum not yet refuted, conway_guy_u(n)]; timeout is a status, never an
-    exception.
+    On timeout, or when the next candidate maximum needs a difference mask
+    above the cap, the record degrades to a bound-only interval [first
+    candidate maximum not yet refuted, conway_guy_u(n)] whose ``stopped_by``
+    says which; neither is an exception.
     """
     _check_n(n)
     if budget_s <= 0:
@@ -278,7 +298,7 @@ def es(n: int, budget_s: float = 60.0) -> EsRecord:
     kind, x, witness, nodes = _search_es(n, deadline)
     if kind == COMPUTED:
         return EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
-    return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None, nodes)
+    return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None, nodes, kind)
 
 
 def es_table(n_max: int, budget_s: float = 60.0) -> dict[int, EsRecord]:
@@ -293,6 +313,7 @@ def es_table(n_max: int, budget_s: float = 60.0) -> dict[int, EsRecord]:
     for n in range(1, n_max + 1):
         rec: EsRecord | None = None
         nodes = 0
+        kind = STOPPED_BY_BUDGET
         if time.monotonic() < deadline:
             kind, x, witness, nodes = _search_es(n, deadline)
             if kind == COMPUTED:
@@ -306,6 +327,6 @@ def es_table(n_max: int, budget_s: float = 60.0) -> dict[int, EsRecord]:
                 prev = table[n - 1].value
                 if prev is not None:
                     lower = max(lower, prev + 1)
-                rec = EsRecord(n, BOUND_ONLY, lower, conway_guy_u(n), None, nodes)
+                rec = EsRecord(n, BOUND_ONLY, lower, conway_guy_u(n), None, nodes, kind)
         table[n] = rec
     return table

@@ -150,6 +150,30 @@ def edge_orbits(g: Graph, deadline: float = math.inf) -> tuple[int, ...]:
     return tuple(orbit)
 
 
+def twin_pairs(g: Graph) -> list[Edge]:
+    """Pairs u < v of twins of g: N(u) - {v} == N(v) - {u}, with at least
+    one neighbour in common.
+
+    The swap of u and v is then an automorphism of g.  It exchanges the
+    edges (u, w) and (v, w) for each common neighbour w and fixes every
+    other edge, uv included.  Twins have equal neighbourhoods once each
+    vertex counts as its own neighbour (adjacent twins) or not (the others),
+    so each pair is found among the vertices with one such neighbourhood.
+    """
+    classes: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    for v, inc in enumerate(g.incidence):
+        nbrs = frozenset(w for e in inc for w in g.edges[e] if w != v)
+        classes.setdefault((False, nbrs), []).append(v)
+        classes.setdefault((True, nbrs | {v}), []).append(v)
+    pairs = []
+    for (closed, nbrs), vs in classes.items():
+        # A closed neighbourhood holds the pair itself; a common neighbour
+        # must lie beyond it.
+        if len(nbrs) > 2 * closed:
+            pairs += [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    return sorted(pairs)
+
+
 def edge_orbits_by(g: Graph, deadline: float) -> tuple[int, ...]:
     """``g.edge_orbits``, computed under ``deadline`` if not yet known.
 

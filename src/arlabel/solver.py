@@ -12,8 +12,23 @@ no r free labels that are DSS together with its labels so far
 (``can_complete``, an exact search on the endpoint's mask; for r == 1 the
 AND of the free labels against the new mask).  A kernel run remembers
 those answers in a memo of at most ``_COMPLETION_MEMO_CAP`` entries, freed
-when the run returns.  Both cuts remove only subtrees without a labeling,
-so a run's first witness is the one a plain 1..k scan would find.
+when the run returns.  Both cuts remove only subtrees without a labeling.
+
+The twin order is the kernel's third cut.  Vertices u and v are twins when
+N(u) - {v} == N(v) - {u} and they share a neighbour (``orbits.twin_pairs``);
+the swap of u and v is then an automorphism.  For each swap that leaves
+every fixed or pinned edge in place, the first edge it moves in search
+order, at step p, must carry a smaller label than its image, at step q > p.
+So at step q the candidates lose every label up to the largest one placed
+at such a p, with one AND per node.  This is the lex-leader constraint
+(Crawford, Ginsberg, Luks & Roy, KR 1996) for the swap: labels are
+distinct, so a labeling and its image under an automorphism first differ
+at the first edge it moves.  It keeps the first witness: without the cut,
+a run's first witness is the lex-least labeling (in search order) that
+carries the fixed labels, the one a plain 1..k scan would find.  Every
+automorphism that fixes the fixed edges maps it to another such labeling,
+no smaller, so it meets every constraint, and the cut search finds it
+first.  Only the counts of a run change.
 
 ``find_ar_labeling`` runs the kernel once, or, when label k must be used,
 once per edge orbit of the graph's automorphism group with k pinned to the
@@ -62,8 +77,9 @@ class SearchStats:
     """What a search did.
 
     ``nodes``: edges labeled.  ``occupancy_prunes``: labels illegal at an
-    endpoint of the edge.  ``forward_prunes``: labels cut because an
-    endpoint could not be completed to a DSS set.  ``probes``:
+    endpoint of the edge.  ``symmetry_prunes``: labels legal at both
+    endpoints but cut by the twin order.  ``forward_prunes``: labels cut
+    because an endpoint could not be completed to a DSS set.  ``probes``:
     difference-mask tests that completion check made (calls of
     ``can_complete``); an answer the search remembered makes none, and
     neither does the question whether one more label fits (r == 1), which
@@ -74,6 +90,7 @@ class SearchStats:
 
     nodes: int = 0
     occupancy_prunes: int = 0
+    symmetry_prunes: int = 0
     forward_prunes: int = 0
     probes: int = 0
     counting_refuted: bool = False
@@ -82,6 +99,7 @@ class SearchStats:
         return {
             "nodes": self.nodes,
             "occupancy_prunes": self.occupancy_prunes,
+            "symmetry_prunes": self.symmetry_prunes,
             "forward_prunes": self.forward_prunes,
             "probes": self.probes,
             "counting_refuted": self.counting_refuted,
@@ -162,10 +180,22 @@ def can_complete(
     stats.probes += 1
     if stats.probes & 1023 == 0 and time.monotonic() > deadline:
         raise SearchTimeout
-    legal = cand & ~(z >> off)
+    h = z >> off
+    legal = cand & ~h
     if r == 1:
         return legal != 0
     r -= 1
+    if r == 1:
+        # The last two labels in one loop: after a, the legal labels above
+        # it are the clear bits of (z | z << a | z >> a) >> off, computed
+        # from h without the shift of z that does not reach them.
+        while legal & (legal - 1):
+            low = legal & -legal
+            legal ^= low
+            a = low.bit_length() - 1
+            if legal & ~(z >> (off - a) | h >> a):
+                return True
+        return False
     # The smallest label of a completion leaves r more above it.
     while legal.bit_count() > r:
         low = legal & -legal
@@ -265,6 +295,34 @@ def find_ar_labeling(
     return SearchOutcome(labeling, True, stats)
 
 
+def _twin_order(g: Graph, free_edges: list[int]) -> list[list[int]]:
+    """The twin order (module docstring) on the free edges in search order:
+    per step q, the earlier steps p whose label must be below q's label.
+
+    Each twin swap that moves only free edges gives one pair: p is the step
+    of the first edge it moves and q the step of that edge's image.
+    """
+    from .orbits import twin_pairs  # imported as find_ar_labeling does
+
+    step_of = {e: i for i, e in enumerate(free_edges)}
+    edge_at = {}
+    for e, (a, b) in enumerate(g.edges):
+        edge_at[a, b] = edge_at[b, a] = e
+    below: list[list[int]] = [[] for _ in free_edges]
+    for u, v in twin_pairs(g):
+        # The swap exchanges (u, w) and (v, w) for each common neighbour w.
+        moved = []
+        for e in g.incidence[u]:
+            a, b = g.edges[e]
+            w = b if a == u else a
+            if w != v:
+                moved.append((e, edge_at[v, w]))
+        if all(e in step_of and f in step_of for e, f in moved):
+            p, q = min(sorted((step_of[e], step_of[f])) for e, f in moved)
+            below[q].append(p)
+    return below
+
+
 def _search(
     g: Graph, k: int, fixed: dict[int, int], stats: SearchStats, deadline: float
 ) -> list[int] | None:
@@ -274,7 +332,8 @@ def _search(
     Adds its counts to ``stats`` and raises SearchTimeout once ``deadline``
     has passed.  ``find_ar_labeling`` checks the arguments, applies the
     counting prune and pins label k by orbit; this function does none of
-    that.
+    that.  It finds the twins of g itself and applies the twin order
+    (module docstring) to the swaps that move no edge of ``fixed``.
     """
     order = _search_order(g)
     # Difference masks (see the dss module docstring): off covers the
@@ -291,19 +350,22 @@ def _search(
         used |= 1 << lab
     full = (1 << (k + 1)) - 2  # labels 1..k
 
-    # One step per free edge: its endpoints and how many free edges each
-    # endpoint still has after this one, for the forward check.
     free_edges = [e for e in order if e not in fixed]
+    depth = len(free_edges)
+    below = _twin_order(g, free_edges)
+    # One step per free edge: its endpoints, how many free edges each
+    # endpoint still has after this one, for the forward check, and the
+    # steps whose labels it must exceed.
     left = [0] * g.vertex_count
     steps = []
-    for e in reversed(free_edges):
-        u, v = g.edges[e]
-        steps.append((u, v, left[u], left[v]))
+    for i in reversed(range(depth)):
+        u, v = g.edges[free_edges[i]]
+        steps.append((u, v, left[u], left[v], tuple(below[i])))
         left[u] += 1
         left[v] += 1
     steps.reverse()
-    depth = len(steps)
     assigned = [0] * depth
+    label_at = assigned.__getitem__
     monotonic = time.monotonic
     # can_complete's answers in this search.  A difference mask is symmetric
     # about off, so its upper half holds all of it, and only the legal free
@@ -332,12 +394,18 @@ def _search(
         stats.nodes += 1
         if stats.nodes & 1023 == 0 and monotonic() > deadline:
             raise SearchTimeout
-        u, v, ru, rv = steps[i]
+        u, v, ru, rv, before = steps[i]
         zu = z[u]
         zv = z[v]
         free = full & ~used
         blocked = free & ((zu | zv) >> off)
         cand = free ^ blocked
+        if before:
+            top = max(map(label_at, before))
+            cut = cand & ((2 << top) - 1)
+            if cut:
+                stats.symmetry_prunes += cut.bit_count()
+                cand ^= cut
         # Lowest label first: the order of a 1..k scan.
         while cand:
             low = cand & -cand
@@ -403,6 +471,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         outcome = find_ar_labeling(g, k, step_cfg, _require_label_k=True)
         total.nodes += outcome.stats.nodes
         total.occupancy_prunes += outcome.stats.occupancy_prunes
+        total.symmetry_prunes += outcome.stats.symmetry_prunes
         total.forward_prunes += outcome.stats.forward_prunes
         total.probes += outcome.stats.probes
         if outcome.labeling is not None:

@@ -58,7 +58,18 @@ class TestEsCommand:
     def test_beyond_known_range_exits_three(self, capsys):
         code, out = run(capsys, "es", "12", "--budget", "1s")
         assert code == 3
-        assert "bound-only" in out
+        assert "bound-only: budget exhausted" in out
+
+    def test_mask_cap_named_as_the_stop(self, capsys):
+        # ES(24)'s first candidate maximum, C(24, 12), needs a difference
+        # mask above the cap: the search stops at once, not for lack of time.
+        code, out = run(capsys, "es", "24", "--budget", "1s")
+        assert code == 3
+        assert "bound-only: candidate maximum 2704156 needs a difference mask above the cap" in out
+        assert "budget exhausted" not in out
+        code, out = run(capsys, "es", "24", "--budget", "1s", "--format", "machine")
+        assert code == 3
+        assert json.loads(out)["stopped_by"] == "mask cap"
 
     def test_bad_n_is_input_error(self, capsys):
         code, _ = run(capsys, "es", "0")
@@ -192,6 +203,7 @@ class TestAriCommand:
         search = json.loads(out)["search"]
         assert search["probes"] > 0
         assert search["forward_prunes"] > 0
+        assert search["symmetry_prunes"] > 0
 
     def test_multipartite_spec(self, capsys):
         code, out = run(capsys, "ari", "multipartite", "2,2", "--budget", "1m")

@@ -15,6 +15,8 @@ from arlabel.es import (
     COMPUTED,
     KNOWN,
     KNOWN_ES,
+    STOPPED_BY_BUDGET,
+    STOPPED_BY_MASK_CAP,
     EsRecord,
     _es_start,
     _square_floor,
@@ -175,6 +177,7 @@ class TestEsSearch:
         assert 126 <= rec.lower <= 161
         assert rec.upper == 161
         assert rec.nodes > 0  # the work done before the budget ran out
+        assert rec.stopped_by == STOPPED_BY_BUDGET
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
@@ -189,14 +192,15 @@ class TestEsSearch:
 
     @pytest.mark.parametrize("n", [24, 40])
     def test_large_n_stops_within_budget(self, n):
-        # At n = 24 nearly every candidate maximum is refuted before any
-        # node, and at n = 40 one difference mask would take about 10^12
-        # bytes: both must end as a bound-only interval on time.
+        # The first candidate maximum's difference mask would take 16 MB at
+        # n = 24 and about 10^12 bytes at n = 40: both must end on time as a
+        # bound-only interval that names the mask cap, not the budget.
         start = time.monotonic()
         rec = es(n, budget_s=0.2)
         assert time.monotonic() - start < 1.0
         assert rec.status == BOUND_ONLY
         assert math.comb(n, n // 2) <= rec.lower <= rec.upper == conway_guy_u(n)
+        assert rec.stopped_by == STOPPED_BY_MASK_CAP
 
 
 def _first_by_brute_force(n: int, x: int) -> tuple[int, ...] | None:

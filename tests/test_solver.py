@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from arlabel import dss, solver
+from arlabel import dss, orbits, solver
 from arlabel.check import is_ar_labeling
 from arlabel.dss import difference_mask, enumerate_dss_sets, is_dss
 from arlabel.errors import UnsupportedSizeError
@@ -57,6 +57,10 @@ def unpinned(g, k, stats=None):
     of g from {1..k} (or None) and its stats."""
     stats = stats or SearchStats()
     return solver._search(g, k, {}, stats, math.inf), stats
+
+
+def _sizes(stats):
+    return (stats.nodes, stats.occupancy_prunes, stats.symmetry_prunes, stats.forward_prunes)
 
 
 def _plain_scan_cases():
@@ -197,40 +201,39 @@ class TestFindArLabeling:
                 assert is_ar_labeling(g, out.labeling).ok
 
     def test_tree_sizes_pinned(self):
-        # (nodes, occupancy prunes, forward prunes) of the benchmark's
-        # kernel instances, summed over the k searched by the unpinned
-        # kernel: for ari, each k from ari_lower_bound to the index.
-        # Remembering completion answers must not move them; only probes
-        # may fall.  B_{2,3}@7 asks the same mask and legal labels with two
-        # values of r, at the centers of degree 3 and 4.  Each case: graph,
-        # the k searched, the k that finds a labeling, sizes.
+        # (nodes, occupancy prunes, symmetry prunes, forward prunes) of the
+        # benchmark's kernel instances, summed over the k searched by the
+        # unpinned kernel: for ari, each k from ari_lower_bound to the
+        # index.  Remembering completion answers must not move them; only
+        # probes may fall.  B_{2,3}@7 asks the same mask and legal labels
+        # with two values of r, at the centers of degree 3 and 4.  Each
+        # case: graph, the k searched, the k that finds a labeling, sizes.
         cases = [
-            (bistar(2, 3), [7], 7, (6, 5, 8)),
-            (complete(6), [15], None, (3920, 17922, 19892)),
-            (complete_bipartite(2, 5), [13, 14, 15], 15, (4219, 15960, 20384)),
-            (complete_multipartite([1, 1, 1, 3]), [14, 15], 15, (25575, 86508, 74169)),
-            (bistar(4, 4), [13, 14], 14, (2457, 9391, 11604)),
+            (bistar(2, 3), [7], 7, (6, 5, 2, 6)),
+            (complete(6), [15], None, (352, 1720, 1854, 263)),
+            (complete_bipartite(2, 5), [13, 14, 15], 15, (284, 1144, 1391, 225)),
+            (complete_multipartite([1, 1, 1, 3]), [14, 15], 15, (1635, 6694, 2680, 3946)),
+            (bistar(4, 4), [13, 14], 14, (487, 2166, 1721, 691)),
         ]
         for g, ks, found_at, sizes in cases:
             stats = SearchStats()
             found = [unpinned(g, k, stats)[0] is not None for k in ks]
             assert found == [k == found_at for k in ks], g.name
-            assert (stats.nodes, stats.occupancy_prunes, stats.forward_prunes) == sizes, sizes
+            assert _sizes(stats) == sizes, sizes
 
     def test_tree_sizes_with_orbit_pin(self):
         # The same instances through the public API: one kernel run per
         # edge orbit at each k whose label k must be used.  B_{2,3}@7 need
         # not use 7, so it keeps the unpinned tree.
         cases = [
-            (find_ar_labeling(bistar(2, 3), 7, FAST), (6, 5, 8)),
-            (find_ar_labeling(complete(6), 15, FAST), (441, 1745, 2366)),
-            (ari(complete_bipartite(2, 5), FAST), (708, 2561, 3453)),
-            (ari(complete_multipartite([1, 1, 1, 3]), FAST), (7819, 24879, 19837)),
-            (ari(bistar(4, 4), FAST), (123, 427, 516)),
+            (find_ar_labeling(bistar(2, 3), 7, FAST), (6, 5, 2, 6)),
+            (find_ar_labeling(complete(6), 15, FAST), (96, 511, 353, 138)),
+            (ari(complete_bipartite(2, 5), FAST), (131, 597, 378, 214)),
+            (ari(complete_multipartite([1, 1, 1, 3]), FAST), (1121, 4291, 815, 2409)),
+            (ari(bistar(4, 4), FAST), (33, 114, 94, 52)),
         ]
         for out, sizes in cases:
-            st = out.stats
-            assert (st.nodes, st.occupancy_prunes, st.forward_prunes) == sizes, sizes
+            assert _sizes(out.stats) == sizes, sizes
 
     def test_completion_memo_cap_changes_only_probes(self, monkeypatch):
         # A memo cleared on every insert must give the same search as the
@@ -345,6 +348,19 @@ class TestAri:
         assert result.lower >= 15
         assert result.upper >= result.lower
 
+    @pytest.mark.skipif(
+        not os.environ.get("ARLABEL_HEAVY"),
+        reason="exhaustive K_7 refutations, about 5 s; set ARLABEL_HEAVY=1",
+    )
+    def test_k7_refuted_at_27_and_28(self):
+        # ari_lower_bound(K_7) is 27, so refuting 27 and 28, each with its
+        # top label required, shows ARI(K_7) >= 29.
+        g = complete(7)
+        assert ari_lower_bound(g) == 27
+        for k in (27, 28):
+            out = find_ar_labeling(g, k, SearchConfig(budget_s=120), _require_label_k=True)
+            assert out.exhausted and out.labeling is None, k
+
     def test_brute_force_oracle_agreement_sample(self):
         for g in (path(4), star(4), bistar(2, 2), complete(4), complete_bipartite(2, 3)):
             assert ari(g, FAST).value == naive_ari(g)
@@ -457,6 +473,102 @@ class TestOrbitBudget:
         assert g.edge_orbits == (0,) * 40
         out = find_ar_labeling(g, 40, SearchConfig(budget_s=0.01))
         assert out.labeling is not None and out.exhausted
+
+
+def _naive_twins(g):
+    """Pairs u < v whose swap maps every edge onto an edge and moves one."""
+    edges = set(g.edges)
+    pairs = []
+    for u, v in combinations(range(g.vertex_count), 2):
+        swap = {u: v, v: u}
+        images = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in edges}
+        if images == edges and any(u in e or v in e for e in edges - {(u, v)}):
+            pairs.append((u, v))
+    return pairs
+
+
+class TestTwinOrder:
+    def test_twin_pairs_are_edge_automorphisms(self):
+        graphs = [complete(n) for n in range(3, 8)]
+        graphs += [complete_bipartite(m, n) for m in range(1, 5) for n in range(max(m, 2), 6)]
+        graphs += [star(n) for n in range(2, 7)]
+        graphs += [bistar(a, b) for a in range(2, 5) for b in range(a, 5)]
+        graphs += [wheel(4), wheel(5)]
+        graphs += [g for g in bench_file_graphs() if g.name != "W_6"]
+        for g in graphs:
+            pairs = orbits.twin_pairs(g)
+            assert pairs, g.name
+            assert pairs == _naive_twins(g), g.name
+        # K_n: every pair; K_{m,n}: the pairs inside each part of size >= 2.
+        assert orbits.twin_pairs(complete(5)) == list(combinations(range(5), 2))
+        assert orbits.twin_pairs(complete_bipartite(2, 3)) == [(0, 1), (2, 3), (2, 4), (3, 4)]
+
+    def test_no_twins_on_w6_or_cycles(self):
+        for g in [wheel(6), wheel(7)] + [cycle(n) for n in range(5, 9)]:
+            assert orbits.twin_pairs(g) == [], g.name
+        (w6,) = [g for g in bench_file_graphs() if g.name == "W_6"]
+        assert orbits.twin_pairs(w6) == []
+        # Single edges, paths and the 4-cycle: only swaps that move an edge.
+        assert orbits.twin_pairs(path(2)) == []
+        assert orbits.twin_pairs(path(4)) == []
+        assert orbits.twin_pairs(cycle(4)) == [(0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("name", ["corpus", "bench files", "K_6@15"])
+    def test_same_verdict_and_witness_as_without_the_cut(self, name, monkeypatch):
+        # With no twins the kernel runs without the twin order.  At each k
+        # from ari_lower_bound to the index, pinned by orbit and unpinned,
+        # both find the same first witness (or none), and the cut never
+        # takes more nodes.
+        if name == "corpus":
+            cases = [(g, None) for g in small_family_graphs()]
+        elif name == "bench files":
+            cases = [(g, None) for g in bench_file_graphs()]
+        else:
+            cases = [(complete(6), 15)]
+        twin_pairs = orbits.twin_pairs
+
+        def run(g, k, twins):
+            monkeypatch.setattr(orbits, "twin_pairs", twins)
+            out = find_ar_labeling(g, k, FAST, _require_label_k=True)
+            labels, stats = unpinned(g, k)
+            return (out.labeling, out.exhausted, labels), out.stats.nodes, stats.nodes
+
+        cut_anything = False
+        for g, stop in cases:
+            k = ari_lower_bound(g)
+            while True:
+                cut = run(g, k, twin_pairs)
+                plain = run(g, k, lambda g: [])
+                assert cut[0] == plain[0], (g.name, k)
+                assert cut[1] <= plain[1] and cut[2] <= plain[2], (g.name, k)
+                cut_anything |= cut[1:] != plain[1:]
+                if k == stop or cut[0][2] is not None:
+                    break
+                k += 1
+        # The corpus's trees are too small to cut; the others show that the
+        # patched finder reached the kernel.
+        assert cut_anything or name == "corpus"
+
+    def test_swaps_moving_a_fixed_edge_are_not_used(self, monkeypatch):
+        # Ordering a swap that moves a fixed edge would refute the stars: in
+        # K_{1,2} the free edge 0 would need a label below the fixed 1 on
+        # edge 1, and in K_{1,3} the fixed 4 on edge 0 would need to lie
+        # below the labels of edges 1 and 2.  In K_4 minus the edge 13, the
+        # swap of 1 and 3 moves the fixed edge 01 and the free edges 12 and
+        # 23; ordering those two alone would skip the first witness.  Each
+        # case keeps the witness the kernel finds without twins.
+        k4_minus_e = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+        cases = [
+            (star(2), 2, {1: 1}, (2, 1)),
+            (star(3), 4, {0: 4}, (4, 1, 2)),
+            (k4_minus_e, 5, {0: 1}, (1, 2, 5, 3, 4)),
+        ]
+        for g, k, fixed, labels in cases:
+            out = find_ar_labeling(g, k, FAST, fixed=fixed)
+            assert out.labeling is not None and out.labeling.labels == labels, g.name
+        monkeypatch.setattr(orbits, "twin_pairs", lambda g: [])
+        for g, k, fixed, labels in cases:
+            assert find_ar_labeling(g, k, FAST, fixed=fixed).labeling.labels == labels
 
 
 class TestDisjointCover:
@@ -665,6 +777,7 @@ class TestSearchConfig:
         assert out.stats.nodes > 0
         assert out.stats.as_dict()["nodes"] == out.stats.nodes
         assert out.stats.as_dict()["probes"] == out.stats.probes > 0
+        assert out.stats.as_dict()["symmetry_prunes"] == out.stats.symmetry_prunes
 
     def test_ari_totals_include_probes(self):
         g = bistar(3, 3)
@@ -675,6 +788,9 @@ class TestSearchConfig:
         ]
         assert result.stats.probes == sum(out.stats.probes for out in steps) > 0
         assert result.stats.forward_prunes == sum(out.stats.forward_prunes for out in steps)
+        assert result.stats.symmetry_prunes == sum(
+            out.stats.symmetry_prunes for out in steps
+        ) > 0
 
 
 def test_no_edge_graphs_rejected():
