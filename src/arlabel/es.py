@@ -27,7 +27,6 @@ from .dss import DssSet, difference_mask, is_dss
 from .errors import SearchTimeout
 
 COMPUTED = "computed"
-KNOWN = "known"
 BOUND_ONLY = "bound-only"
 
 # Why a search left ES(n) bound-only: its budget ran out, or the next
@@ -116,7 +115,7 @@ def conway_guy_set(n: int) -> DssSet:
 
 @dataclass(frozen=True)
 class EsRecord:
-    """One row of the ES table: exact value or certified interval.
+    """ES(n): the exact value with a witness, or a certified interval.
 
     ``stopped_by`` says why a search left the row bound-only
     (``STOPPED_BY_BUDGET`` or ``STOPPED_BY_MASK_CAP``); it is None when the
@@ -124,7 +123,7 @@ class EsRecord:
     """
 
     n: int
-    status: str  # COMPUTED | KNOWN | BOUND_ONLY
+    status: str  # COMPUTED | BOUND_ONLY
     lower: int
     upper: int
     witness: DssSet | None
@@ -299,34 +298,3 @@ def es(n: int, budget_s: float = 60.0) -> EsRecord:
     if kind == COMPUTED:
         return EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
     return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None, nodes, kind)
-
-
-def es_table(n_max: int, budget_s: float = 60.0) -> dict[int, EsRecord]:
-    """Records for n = 1..n_max, keyed by n: computed where the shared
-    budget allows, the known published values (with Conway-Guy witnesses)
-    for n <= 9 otherwise, bound-only intervals beyond."""
-    _check_n(n_max)
-    if budget_s <= 0:
-        raise ValueError("budget must be positive")
-    deadline = time.monotonic() + budget_s
-    table: dict[int, EsRecord] = {}
-    for n in range(1, n_max + 1):
-        rec: EsRecord | None = None
-        nodes = 0
-        kind = STOPPED_BY_BUDGET
-        if time.monotonic() < deadline:
-            kind, x, witness, nodes = _search_es(n, deadline)
-            if kind == COMPUTED:
-                rec = EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
-        if rec is None:
-            if n <= 9:
-                value = KNOWN_ES[n]
-                rec = EsRecord(n, KNOWN, value, value, conway_guy_set(n), nodes)
-            else:
-                lower = _es_start(n)
-                prev = table[n - 1].value
-                if prev is not None:
-                    lower = max(lower, prev + 1)
-                rec = EsRecord(n, BOUND_ONLY, lower, conway_guy_u(n), None, nodes, kind)
-        table[n] = rec
-    return table

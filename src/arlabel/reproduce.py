@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
-from .check import is_ar_labeling
+from .check import Labeling, is_ar_labeling
 from .dss import enumerate_dss_sets
-from .es import KNOWN_ES, es
+from .errors import SearchTimeout
+from .es import KNOWN_ES, EsRecord, es
 from .graphs import (
     Graph,
     bistar,
@@ -27,13 +29,14 @@ from .graphs import (
     wheel,
 )
 from .solver import (
+    AriResult,
     SearchConfig,
+    SearchOutcome,
     ari,
     ari_lower_bound,
     counting_prune,
     disjoint_dss_cover,
     find_ar_labeling,
-    is_ar_graph,
     label_wheel,
 )
 
@@ -96,8 +99,10 @@ class ReproReport:
         (out / "report.txt").write_text(self.render_text() + "\n")
 
 
-# runner(budget_s) -> (computed text, ok or None for budget-expiry, artifact)
-Runner = Callable[[float], tuple[str, bool | None, dict]]
+# runner(deadline, artifact) -> (computed text, ok or None for skipped).  The
+# runner fills ``artifact`` in place, so a row whose deadline passes keeps
+# what it built so far.
+Runner = Callable[[float, dict], tuple[str, bool | None]]
 
 
 @dataclass(frozen=True)
@@ -105,419 +110,348 @@ class _Claim:
     claim_id: str
     claimed: str
     budget_s: float
-    heavy: bool
     runner: Runner
+    heavy: bool = False
 
 
-def _run_es_small(budget_s: float) -> tuple[str, bool | None, dict]:
-    values = {}
-    witnesses = {}
-    deadline = time.monotonic() + budget_s
+class _Expired(Exception):
+    """The row's deadline passed before ``args[0]`` was decided."""
+
+
+def _budget(deadline: float, item: str) -> SearchConfig:
+    """The time left to the row's deadline, as the budget of the search
+    that decides ``item``; raises _Expired once no time is left."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise _Expired(item)
+    return SearchConfig(budget_s=left)
+
+
+def _es(n: int, deadline: float) -> EsRecord:
+    rec = es(n, _budget(deadline, f"n={n}").budget_s)
+    if rec.value is None:
+        raise _Expired(f"n={n}: bound-only interval [{rec.lower}, {rec.upper}]")
+    return rec
+
+
+def _ar_search(g: Graph, deadline: float) -> SearchOutcome:
+    """The search for an AR-labeling of g within {1..m(g)}, run to a
+    witness or an exhausted refutation."""
+    out = find_ar_labeling(g, g.edge_count(), _budget(deadline, g.name))
+    if not out.exhausted:
+        raise _Expired(g.name)
+    return out
+
+
+def _ari(g: Graph, deadline: float) -> AriResult:
+    res = ari(g, _budget(deadline, g.name))
+    if res.value is None:
+        raise _Expired(g.name)
+    return res
+
+
+def _wheel(n: int, deadline: float) -> Labeling:
+    try:
+        return label_wheel(n, _budget(deadline, f"W_{n}"))
+    except SearchTimeout:
+        raise _Expired(f"W_{n}") from None
+
+
+def _run_es_small(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    witnesses = artifact["witnesses"] = {}
+    values = []
     for n in range(1, 7):
-        rec = es(n, budget_s=max(deadline - time.monotonic(), 0.001))
-        if rec.value is None:
-            return (f"budget expired at n={n}", None, {"partial": values})
-        values[n] = rec.value
+        rec = _es(n, deadline)
+        values.append(rec.value)
         witnesses[n] = list(rec.witness.elements)
-    expected = {n: KNOWN_ES[n] for n in range(1, 7)}
-    computed = ", ".join(str(values[n]) for n in range(1, 7))
-    return (f"ES(1..6) = {computed}", values == expected, {"witnesses": witnesses})
+    computed = ", ".join(map(str, values))
+    return (f"ES(1..6) = {computed}", values == [KNOWN_ES[n] for n in range(1, 7)])
 
 
-def _run_es_exact(n: int) -> Runner:
-    def run(budget_s: float) -> tuple[str, bool | None, dict]:
-        rec = es(n, budget_s=budget_s)
-        if rec.value is None:
-            return (
-                f"bound-only interval [{rec.lower}, {rec.upper}]",
-                None,
-                {"lower": rec.lower, "upper": rec.upper},
-            )
-        return (
-            f"ES({n}) = {rec.value}",
-            rec.value == KNOWN_ES[n],
-            {"witness": list(rec.witness.elements)},
-        )
-
-    return run
+def _run_es_exact(deadline: float, artifact: dict, *, n: int) -> tuple[str, bool | None]:
+    rec = _es(n, deadline)
+    artifact["witness"] = list(rec.witness.elements)
+    return (f"ES({n}) = {rec.value}", rec.value == KNOWN_ES[n])
 
 
-def _run_enum_unique(budget_s: float) -> tuple[str, bool | None, dict]:
+def _run_enum_unique(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     sets = enumerate_dss_sets(4, 7)
+    artifact["sets"] = [list(s.elements) for s in sets]
     ok = len(sets) == 1 and sets[0].elements == (3, 5, 6, 7)
     return (
         f"{len(sets)} four-element DSS set(s) within {{1..7}}: "
-        + ", ".join(str(list(s.elements)) for s in sets),
+        + ", ".join(map(str, artifact["sets"])),
         ok,
-        {"sets": [list(s.elements) for s in sets]},
     )
 
 
-def _run_enum_pair(budget_s: float) -> tuple[str, bool | None, dict]:
-    sets = enumerate_dss_sets(5, 13)
-    shared = set(sets[0].elements)
-    for s in sets[1:]:
-        shared &= set(s.elements)
-    ok = len(sets) == 2 and len(shared) == 4
+def _five_within_13() -> tuple[list[list[int]], list[int]]:
+    """The five-element DSS sets within {1..13}, and the elements all of
+    them share."""
+    sets = [list(s.elements) for s in enumerate_dss_sets(5, 13)]
+    return sets, sorted(set.intersection(*map(set, sets)))
+
+
+def _run_enum_pair(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    sets, shared = _five_within_13()
+    artifact.update(sets=sets, shared=shared)
     return (
         f"{len(sets)} five-element DSS sets within {{1..13}}, {len(shared)} shared elements",
-        ok,
-        {"sets": [list(s.elements) for s in sets], "shared": sorted(shared)},
+        len(sets) == 2 and len(shared) == 4,
     )
 
 
-def _run_star_ari(budget_s: float) -> tuple[str, bool | None, dict]:
-    cfg = SearchConfig(budget_s=budget_s)
+def _run_star_ari(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    witnesses = artifact["witnesses"] = {}
     values = {}
-    artifact: dict = {"witnesses": {}}
     for n in range(1, 6):
-        res = ari(star(n), cfg)
-        if res.value is None:
-            return (f"budget expired at n={n}", None, artifact)
+        res = _ari(star(n), deadline)
         values[n] = res.value
-        artifact["witnesses"][n] = list(res.witness.labels)
-    not_ar = {n: is_ar_graph(star(n), cfg) for n in (3, 4, 5)}
+        witnesses[n] = list(res.witness.labels)
+    not_ar = {n: _ar_search(star(n), deadline).labeling is not None for n in (3, 4, 5)}
     artifact["is_ar_3_4_5"] = not_ar
-    ok = values == {n: KNOWN_ES[n] for n in range(1, 6)} and all(
-        v is False for v in not_ar.values()
-    )
+    ok = values == {n: KNOWN_ES[n] for n in range(1, 6)} and not any(not_ar.values())
     computed = ", ".join(f"ARI(K_{{1,{n}}})={values[n]}" for n in range(1, 6))
-    return (computed + "; none of n=3..5 is an AR-graph", ok, artifact)
+    return (computed + "; none of n=3..5 is an AR-graph", ok)
 
 
-def _run_bistars(budget_s: float) -> tuple[str, bool | None, dict]:
-    cfg = SearchConfig(budget_s=budget_s)
-    artifact: dict = {}
-    ar11 = is_ar_graph(bistar(1, 1), cfg)
-    ar22 = is_ar_graph(bistar(2, 2), cfg)
-    ar33 = is_ar_graph(bistar(3, 3), cfg)
-    ar44 = is_ar_graph(bistar(4, 4), cfg)
-    res33 = ari(bistar(3, 3), cfg)
-    if None in (ar11, ar22, ar33, ar44) or res33.value is None:
-        return ("budget expired", None, artifact)
-    artifact = {
-        "ar": {"B11": ar11, "B22": ar22, "B33": ar33, "B44": ar44},
-        "ari_B33": res33.value,
-        "witness_B33": list(res33.witness.labels),
-    }
-    ok = ar11 is True and ar22 is True and ar33 is False and ar44 is False and res33.value == 8
+def _run_bistars(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    ar = artifact["ar"] = {}
+    for a in range(1, 5):
+        ar[f"B{a}{a}"] = _ar_search(bistar(a, a), deadline).labeling is not None
+    res33 = _ari(bistar(3, 3), deadline)
+    artifact["ari_B33"] = res33.value
+    artifact["witness_B33"] = list(res33.witness.labels)
+    ok = ar == {"B11": True, "B22": True, "B33": False, "B44": False} and res33.value == 8
     return (
-        f"B11 AR={ar11}, B22 AR={ar22}, B33 AR={ar33} with ARI={res33.value}, B44 AR={ar44}",
+        f"B11 AR={ar['B11']}, B22 AR={ar['B22']}, B33 AR={ar['B33']} with "
+        f"ARI={res33.value}, B44 AR={ar['B44']}",
         ok,
-        artifact,
     )
 
 
-def _run_complete_small(budget_s: float) -> tuple[str, bool | None, dict]:
-    cfg = SearchConfig(budget_s=budget_s)
-    artifact: dict = {"witnesses": {}}
-    verdicts = {}
-    for n in range(2, 6):
-        out = find_ar_labeling(complete(n), complete(n).edge_count(), cfg)
-        if out.labeling is None and not out.exhausted:
-            return (f"budget expired at K_{n}", None, artifact)
-        verdicts[n] = out.labeling is not None
-        if out.labeling is not None:
-            artifact["witnesses"][n] = list(out.labeling.labels)
-    ok = all(verdicts.values())
-    return (
-        "; ".join(f"K_{n} AR={verdicts[n]}" for n in range(2, 6)),
-        ok,
-        artifact,
+def _run_complete_six(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    out = _ar_search(complete(6), deadline)  # label budget 15 = m(K_6)
+    if out.labeling is not None:
+        artifact["labels"] = list(out.labeling.labels)
+        return ("found an AR-labeling of K_6", False)
+    artifact["search"] = out.stats.as_dict()
+    return ("label budget 15 refuted exhaustively", True)
+
+
+def _run_complete_six_ingredients(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    # The ingredients of the K_6 argument: the five-element enumeration
+    # facts plus the counting screen (which alone does not refute budget
+    # 15, showing the deeper argument is needed).  When they hold the row
+    # is skipped, not matched: they do not decide K_6.
+    sets, shared = _five_within_13()
+    survives = counting_prune(complete(6), 15)
+    artifact.update(five_element_sets_max13=sets, shared=shared, counting_survives_15=survives)
+    computed = (
+        "ingredients only: 2 five-element sets sharing 4 elements; "
+        "counting screen alone does not refute 15"
     )
+    return (computed, None if len(sets) == 2 and len(shared) == 4 and survives else False)
 
 
-def _run_complete_six(heavy: bool) -> Runner:
-    def run(budget_s: float) -> tuple[str, bool | None, dict]:
-        if not heavy:
-            # Fallback on the argument ingredients: the five-element
-            # enumeration facts plus the counting screen (which alone does
-            # not refute budget 15, showing the deeper argument is needed).
-            sets = enumerate_dss_sets(5, 13)
-            shared = set(sets[0].elements) & set(sets[1].elements)
-            survives = counting_prune(complete(6), 15)
-            artifact = {
-                "five_element_sets_max13": [list(s.elements) for s in sets],
-                "shared": sorted(shared),
-                "counting_survives_15": survives,
-            }
-            ok_ingredients = len(sets) == 2 and len(shared) == 4 and survives
-            computed = (
-                "ingredients only: 2 five-element sets sharing 4 elements; "
-                "counting screen alone does not refute 15"
-            )
-            return (computed, None if ok_ingredients else False, artifact)
-        out = find_ar_labeling(complete(6), 15, SearchConfig(budget_s=budget_s))
+def _run_cover_none(
+    deadline: float, artifact: dict, *, pairs: list[tuple[int, int]]
+) -> tuple[str, bool | None]:
+    parts = []
+    for m, n in pairs:
+        cover = disjoint_dss_cover(m, n)
+        artifact[f"{m}x{n}"] = [list(s.elements) for s in cover] if cover else "no cover"
+        parts.append(f"({m},{n}) cover {'found' if cover else 'none'}")
+    return ("; ".join(parts), all(v == "no cover" for v in artifact.values()))
+
+
+def _run_cover_exists(
+    deadline: float, artifact: dict, *, pairs: list[tuple[int, int]]
+) -> tuple[str, bool | None]:
+    parts = []
+    for m, n in pairs:
+        cover = disjoint_dss_cover(m, n)
+        if cover:
+            artifact[f"{m}x{n}"] = [list(s.elements) for s in cover]
+        parts.append(f"({m},{n}) {'found' if cover else 'none'}")
+    return ("; ".join(parts), len(artifact) == len(pairs))  # a cover for each pair
+
+
+def _run_ar_family(
+    deadline: float, artifact: dict, *, graphs: list[Graph], keys: Iterable | None = None
+) -> tuple[str, bool | None]:
+    """Every graph is an AR-graph; witnesses are keyed by ``keys``, or by
+    the graphs' names."""
+    witnesses = artifact["witnesses"] = {}
+    parts = []
+    for key, g in zip(keys or [g.name for g in graphs], graphs):
+        out = _ar_search(g, deadline)
         if out.labeling is not None:
-            return ("found an AR-labeling of K_6", False, {"labels": list(out.labeling.labels)})
-        if not out.exhausted:
-            return ("budget expired mid-refutation", None, out.stats.as_dict())
-        return ("label budget 15 refuted exhaustively", True, {"search": out.stats.as_dict()})
-
-    return run
-
-
-def _run_cover_none(pairs: list[tuple[int, int]]) -> Runner:
-    def run(budget_s: float) -> tuple[str, bool | None, dict]:
-        artifact: dict = {}
-        verdicts = []
-        for m, n in pairs:
-            cover = disjoint_dss_cover(m, n)
-            found = cover is not None
-            verdicts.append(((m, n), found))
-            artifact[f"{m}x{n}"] = (
-                [list(s.elements) for s in cover] if cover else "no cover"
-            )
-        ok = all(not found for _, found in verdicts)
-        computed = "; ".join(
-            f"({m},{n}) cover {'found' if found else 'none'}"
-            for (m, n), found in verdicts
-        )
-        return (computed, ok, artifact)
-
-    return run
+            witnesses[key] = list(out.labeling.labels)
+        else:
+            witnesses[key] = {"refuted": out.stats.as_dict()}
+        parts.append(f"{g.name} AR={out.labeling is not None}")
+    return ("; ".join(parts), all(isinstance(w, list) for w in witnesses.values()))
 
 
-def _run_cover_exists(pairs: list[tuple[int, int]]) -> Runner:
-    def run(budget_s: float) -> tuple[str, bool | None, dict]:
-        artifact: dict = {}
-        all_found = True
-        parts = []
-        for m, n in pairs:
-            cover = disjoint_dss_cover(m, n)
-            found = cover is not None
-            all_found &= found
-            parts.append(f"({m},{n}) {'found' if found else 'none'}")
-            if cover:
-                artifact[f"{m}x{n}"] = [list(s.elements) for s in cover]
-        return ("; ".join(parts), all_found, artifact)
-
-    return run
-
-
-def _run_ar_family(graphs: list[Graph], expect: bool) -> Runner:
-    def run(budget_s: float) -> tuple[str, bool | None, dict]:
-        artifact: dict = {"witnesses": {}}
-        parts = []
-        ok = True
-        deadline = time.monotonic() + budget_s
-        for g in graphs:
-            cfg = SearchConfig(budget_s=max(deadline - time.monotonic(), 0.001))
-            out = find_ar_labeling(g, g.edge_count(), cfg)
-            if out.labeling is None and not out.exhausted:
-                return (f"budget expired at {g.name}", None, artifact)
-            verdict = out.labeling is not None
-            parts.append(f"{g.name} AR={verdict}")
-            ok &= verdict is expect
-            if out.labeling is not None:
-                artifact["witnesses"][g.name] = list(out.labeling.labels)
-            else:
-                artifact["witnesses"][g.name] = {"refuted": out.stats.as_dict()}
-        return ("; ".join(parts), ok, artifact)
-
-    return run
-
-
-def _run_multipartite_prune(budget_s: float) -> tuple[str, bool | None, dict]:
+def _run_multipartite_prune(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     g = complete_multipartite([3, 3, 3])
     refuted = not counting_prune(g, 27)
     survives_28 = counting_prune(g, 28)
     lb = ari_lower_bound(g)
-    artifact = {"refuted_at_27": refuted, "survives_28": survives_28, "lower_bound": lb}
+    artifact.update(refuted_at_27=refuted, survives_28=survives_28, lower_bound=lb)
     return (
         f"counting argument refutes budget 27 (next surviving budget {lb})",
         refuted and survives_28 and lb == 28,
-        artifact,
     )
 
 
-def _run_wheel_labelings(budget_s: float) -> tuple[str, bool | None, dict]:
-    artifact: dict = {}
-    deadline = time.monotonic() + budget_s
+def _run_wheel_labelings(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     parts = []
     ok = True
     for n in range(6, 11):
-        cfg = SearchConfig(budget_s=max(deadline - time.monotonic(), 0.001))
-        labeling = label_wheel(n, cfg)
+        labeling = _wheel(n, deadline)
         top = max(labeling.labels)
-        verified = is_ar_labeling(wheel(n), labeling).ok
         artifact[f"W{n}"] = {"labels": list(labeling.labels), "max": top}
         parts.append(f"W_{n} max={top}")
-        ok &= verified and top == KNOWN_ES[n - 1]
-    return ("; ".join(parts), ok, artifact)
+        ok &= is_ar_labeling(wheel(n), labeling).ok and top == KNOWN_ES[n - 1]
+    return ("; ".join(parts), ok)
 
 
-def _run_wheel_ari(budget_s: float) -> tuple[str, bool | None, dict]:
+def _run_wheel_ari(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     # Upper witness from the construction, matching lower bound from the
     # degree argument: together they pin the index without a full search.
-    artifact: dict = {}
-    deadline = time.monotonic() + budget_s
     parts = []
     ok = True
     for n in range(6, 11):
-        cfg = SearchConfig(budget_s=max(deadline - time.monotonic(), 0.001))
-        labeling = label_wheel(n, cfg)
+        top = max(_wheel(n, deadline).labels)
         lb = ari_lower_bound(wheel(n))
-        top = max(labeling.labels)
-        exact = lb == top
         artifact[f"W{n}"] = {"lower_bound": lb, "witness_max": top}
         parts.append(f"ARI(W_{n})={top}")
-        ok &= exact and top == KNOWN_ES[n - 1]
-    return ("; ".join(parts), ok, artifact)
+        ok &= lb == top == KNOWN_ES[n - 1]
+    return ("; ".join(parts), ok)
 
 
-def _run_wheels_ar(budget_s: float) -> tuple[str, bool | None, dict]:
-    cfg = SearchConfig(budget_s=budget_s)
-    w4 = is_ar_graph(wheel(4), cfg)
-    w5 = is_ar_graph(wheel(5), cfg)
-    w6 = is_ar_graph(wheel(6), cfg)
-    if None in (w4, w5, w6):
-        return ("budget expired", None, {})
-    ok = w4 is True and w5 is True and w6 is False
-    return (
-        f"W_4 AR={w4}, W_5 AR={w5}, W_6 AR={w6}",
-        ok,
-        {"W4": w4, "W5": w5, "W6": w6},
-    )
+def _run_wheels_ar(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    for n in (4, 5, 6):
+        artifact[f"W{n}"] = _ar_search(wheel(n), deadline).labeling is not None
+    ok = artifact == {"W4": True, "W5": True, "W6": False}
+    return (f"W_4 AR={artifact['W4']}, W_5 AR={artifact['W5']}, W_6 AR={artifact['W6']}", ok)
 
 
 def _claims() -> list[_Claim]:
     return [
-        _Claim("es-values-1-6", "ES(1..6) = 1, 2, 4, 7, 13, 24", 120, False, _run_es_small),
-        _Claim("es-7", "ES(7) = 44", 300, False, _run_es_exact(7)),
-        _Claim("es-8", "ES(8) = 84", 3600, True, _run_es_exact(8)),
+        _Claim("es-values-1-6", "ES(1..6) = 1, 2, 4, 7, 13, 24", 120, _run_es_small),
+        _Claim("es-7", "ES(7) = 44", 300, partial(_run_es_exact, n=7)),
+        _Claim("es-8", "ES(8) = 84", 3600, partial(_run_es_exact, n=8), heavy=True),
         _Claim(
             "dss-unique-4-within-7",
             "exactly one 4-element DSS set within {1..7}, namely {3,5,6,7}",
             10,
-            False,
             _run_enum_unique,
         ),
         _Claim(
             "dss-two-5-within-13",
             "exactly two 5-element DSS sets within {1..13}, sharing four elements",
             10,
-            False,
             _run_enum_pair,
         ),
         _Claim(
             "star-index",
             "ARI(K_{1,n}) = ES(n) for n = 1..5; stars with n > 2 are not AR-graphs",
             120,
-            False,
             _run_star_ari,
         ),
         _Claim(
             "bistars",
             "B_{1,1} and B_{2,2} are AR; B_{3,3} is almost AR with index 8; B_{4,4} is not AR",
             300,
-            False,
             _run_bistars,
         ),
-        _Claim("complete-2-5", "K_2 .. K_5 are AR-graphs", 600, False, _run_complete_small),
         _Claim(
-            "complete-6",
-            "K_6 is not an AR-graph",
-            7200,
-            True,
-            _run_complete_six(True),
+            "complete-2-5",
+            "K_2 .. K_5 are AR-graphs",
+            600,
+            partial(_run_ar_family, graphs=[complete(n) for n in range(2, 6)], keys=range(2, 6)),
         ),
+        _Claim("complete-6", "K_6 is not an AR-graph", 7200, _run_complete_six, heavy=True),
         _Claim(
             "complete-6-ingredients",
             "K_6 refutation ingredients hold (five-element set facts, counting screen)",
             60,
-            False,
-            _run_complete_six(False),
+            _run_complete_six_ingredients,
         ),
         _Claim(
             "bipartite-cover-none",
             "no disjoint DSS cover for (3,5), (4,6), (5,6)",
             1800,
-            False,
-            _run_cover_none([(3, 5), (4, 6), (5, 6)]),
+            partial(_run_cover_none, pairs=[(3, 5), (4, 6), (5, 6)]),
         ),
         _Claim(
             "bipartite-cover-6-6",
             "no disjoint DSS cover for (6,6)",
             1800,
-            True,
-            _run_cover_none([(6, 6)]),
+            partial(_run_cover_none, pairs=[(6, 6)]),
+            heavy=True,
         ),
         _Claim(
             "bipartite-cover-exists",
             "disjoint DSS covers exist for (2,2), (2,3), (2,4), (3,3), (3,4)",
             600,
-            False,
-            _run_cover_exists([(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]),
+            partial(_run_cover_exists, pairs=[(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]),
         ),
         _Claim(
             "bipartite-ar",
             "K_{2,2}, K_{2,3}, K_{2,4}, K_{3,3}, K_{3,4} are AR-graphs",
             1800,
-            False,
-            _run_ar_family(
-                [
+            partial(
+                _run_ar_family,
+                graphs=[
                     complete_bipartite(2, 2),
                     complete_bipartite(2, 3),
                     complete_bipartite(2, 4),
                     complete_bipartite(3, 3),
                     complete_bipartite(3, 4),
                 ],
-                True,
             ),
         ),
         _Claim(
             "bipartite-ar-stretch",
             "K_{4,4}, K_{4,5}, K_{5,5} are AR-graphs",
             5400,
-            True,
-            _run_ar_family(
-                [
+            partial(
+                _run_ar_family,
+                graphs=[
                     complete_bipartite(4, 4),
                     complete_bipartite(4, 5),
                     complete_bipartite(5, 5),
                 ],
-                True,
             ),
+            heavy=True,
         ),
         _Claim(
             "multipartite-ar",
             "K_{2,2,2} and K_{2,2,3} are AR-graphs",
             1800,
-            False,
-            _run_ar_family(
-                [complete_multipartite([2, 2, 2]), complete_multipartite([2, 2, 3])],
-                True,
+            partial(
+                _run_ar_family,
+                graphs=[complete_multipartite([2, 2, 2]), complete_multipartite([2, 2, 3])],
             ),
         ),
         _Claim(
             "multipartite-3-3-3",
             "the counting argument refutes label budget 27 for K_{3,3,3}",
             60,
-            False,
             _run_multipartite_prune,
         ),
         _Claim(
             "wheel-labelings",
             "W_n has a verified AR-labeling with maximum label ES(n-1), n = 6..10",
             900,
-            False,
             _run_wheel_labelings,
         ),
-        _Claim(
-            "wheel-index",
-            "ARI(W_n) = ES(n-1) for n = 6..10",
-            900,
-            False,
-            _run_wheel_ari,
-        ),
-        _Claim(
-            "wheels-ar",
-            "the only AR-wheels are W_4 and W_5",
-            300,
-            False,
-            _run_wheels_ar,
-        ),
+        _Claim("wheel-index", "ARI(W_n) = ES(n-1) for n = 6..10", 900, _run_wheel_ari),
+        _Claim("wheels-ar", "the only AR-wheels are W_4 and W_5", 300, _run_wheels_ar),
     ]
 
 
@@ -528,26 +462,29 @@ def run_reproduction(
 ) -> ReproReport:
     """Run every claim row; heavy rows are skipped unless requested.
 
-    ``only`` restricts the run to the named claim ids (mainly for tests).
+    A row's budget (``budget_override_s`` when given) sets one deadline for
+    all of its searches: each is given the time left.  A row whose deadline
+    passes reads skipped-budget, "budget expired at <item>", and keeps the
+    artifact built so far.  ``only`` restricts the run to the named claim
+    ids (mainly for tests).
     """
     rows = []
     for claim in _claims():
         if only is not None and claim.claim_id not in only:
             continue
         if claim.heavy and not include_heavy:
-            rows.append(
-                ClaimRow(claim.claim_id, claim.claimed, "not attempted", SKIPPED, 0.0)
-            )
+            rows.append(ClaimRow(claim.claim_id, claim.claimed, "not attempted", SKIPPED, 0.0))
             continue
         if claim.claim_id == "complete-6-ingredients" and include_heavy:
             continue  # superseded by the full refutation row
         budget = budget_override_s if budget_override_s is not None else claim.budget_s
         t0 = time.perf_counter()
-        computed, ok, artifact = claim.runner(budget)
+        artifact: dict = {}
+        try:
+            computed, ok = claim.runner(time.monotonic() + budget, artifact)
+        except _Expired as expired:
+            computed, ok = f"budget expired at {expired.args[0]}", None
         seconds = time.perf_counter() - t0
-        if ok is None:
-            status = SKIPPED
-        else:
-            status = MATCH if ok else MISMATCH
+        status = SKIPPED if ok is None else MATCH if ok else MISMATCH
         rows.append(ClaimRow(claim.claim_id, claim.claimed, computed, status, seconds, artifact))
     return ReproReport(rows=rows, include_heavy=include_heavy)

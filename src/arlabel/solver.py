@@ -1,6 +1,6 @@
 """Exact AR-index search: branch-and-bound labeling, counting prunes, and the
 special-purpose constructions (bipartite disjoint covers, wheel labelings as
-the search with the spokes fixed, embedding into an AR-supergraph).
+the search with the spokes fixed).
 
 The decision core is the edge kernel, ``_search``: backtracking over edges
 ordered by decreasing endpoint-degree sum, trying labels in ascending
@@ -489,19 +489,6 @@ def is_ar_graph(g: Graph, cfg: SearchConfig | None = None) -> bool | None:
     return False if outcome.exhausted else None
 
 
-def is_almost_ar(g: Graph, cfg: SearchConfig | None = None) -> bool | None:
-    """Is ARI(g) exactly m(g) + 1?  None on timeout in either search."""
-    at_m = is_ar_graph(g, cfg)
-    if at_m is None:
-        return None
-    if at_m:
-        return False
-    outcome = find_ar_labeling(g, g.edge_count() + 1, cfg, _require_label_k=True)
-    if outcome.labeling is not None:
-        return True
-    return False if outcome.exhausted else None
-
-
 def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
     """m pairwise-disjoint n-element DSS subsets of {1..m*n}, or None.
 
@@ -584,61 +571,3 @@ def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:
             raise RuntimeError(f"internal: no rim of W_{n} completes the spokes {spokes.elements}")
         raise SearchTimeout(f"wheel W_{n} rim search did not finish in budget")
     return outcome.labeling
-
-
-def embed_in_ar_graph(
-    g: Graph, cfg: SearchConfig | None = None
-) -> tuple[Graph, Labeling]:
-    """An AR-supergraph containing g as an induced subgraph, with witness.
-
-    If g (or g plus one pendant) is already an AR-graph it is returned as
-    is.  Otherwise a path of ARI(G') - m(G') vertices is attached to the
-    pendant; the path edges absorb exactly the labels of {1..ARI(G')} unused
-    by the witness, making the total label set {1..m(H)}.
-    """
-    cfg = cfg or SearchConfig()
-    if g.edge_count() < 1:
-        raise ValueError("graph has no edges")
-    outcome = find_ar_labeling(g, g.edge_count(), cfg)
-    if outcome.labeling is not None:
-        return g, outcome.labeling
-    if not outcome.exhausted:
-        raise SearchTimeout("budget expired while deciding whether g is an AR-graph")
-
-    pendant = g.vertex_count
-    gp = Graph(
-        g.vertex_count + 1,
-        g.edges + ((0, pendant),),
-        name=(g.name or "G") + "+pendant",
-    )
-    outcome = find_ar_labeling(gp, gp.edge_count(), cfg)
-    if outcome.labeling is not None:
-        return gp, outcome.labeling
-    if not outcome.exhausted:
-        raise SearchTimeout("budget expired while deciding whether G' is an AR-graph")
-
-    result = ari(gp, cfg)
-    if result.status != EXACT:
-        raise SearchTimeout("budget expired while computing ARI(G')")
-    assert result.witness is not None
-    l = result.lower - gp.edge_count()
-    label_of = {e: lab for e, lab in zip(gp.edges, result.witness.labels)}
-    extra_edges = []
-    prev = pendant
-    for i in range(l):
-        nxt = gp.vertex_count + i
-        extra_edges.append((prev, nxt))
-        prev = nxt
-    h = Graph(
-        gp.vertex_count + l,
-        gp.edges + tuple(extra_edges),
-        name=(g.name or "G") + "+tail",
-    )
-    unused = sorted(set(range(1, result.lower + 1)) - set(result.witness.labels))
-    for e, lab in zip(extra_edges, unused):
-        label_of[e] = lab
-    labeling = Labeling(tuple(label_of[e] for e in h.edges))
-    verdict = is_ar_labeling(h, labeling)
-    if not verdict.ok:  # pragma: no cover - construction invariant
-        raise RuntimeError(f"internal: embedding labeling invalid: {verdict.describe()}")
-    return h, labeling

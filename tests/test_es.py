@@ -13,7 +13,6 @@ from arlabel.dss import is_dss
 from arlabel.es import (
     BOUND_ONLY,
     COMPUTED,
-    KNOWN,
     KNOWN_ES,
     STOPPED_BY_BUDGET,
     STOPPED_BY_MASK_CAP,
@@ -27,7 +26,6 @@ from arlabel.es import (
     erdos_moser_lb,
     es,
     es_floor,
-    es_table,
 )
 
 
@@ -258,37 +256,27 @@ class TestSquareFloor:
 
 
 class TestEsTable:
+    """The ES values es(n) gives, n by n."""
+
     def test_small_table_is_computed(self):
-        table = es_table(3, budget_s=30)
-        assert [table[n].value for n in (1, 2, 3)] == [1, 2, 4]
-        assert all(table[n].status == COMPUTED for n in (1, 2, 3))
+        recs = [es(n, budget_s=30) for n in (1, 2, 3)]
+        assert [rec.value for rec in recs] == [1, 2, 4]
+        assert all(rec.status == COMPUTED for rec in recs)
 
     def test_medium_table_computes_through_seven(self):
-        table = es_table(7, budget_s=300)
-        assert [table[n].value for n in range(1, 8)] == [1, 2, 4, 7, 13, 24, 44]
-        assert all(table[n].status == COMPUTED for n in range(1, 8))
-        for n in range(1, 8):
-            assert table[n].witness.largest == table[n].value
-
-    def test_known_fallback_under_tiny_budget(self):
-        table = es_table(9, budget_s=0.05)
-        rec = table[9]
-        assert rec.value == 161
-        assert rec.status in (COMPUTED, KNOWN)
-        if rec.status == KNOWN:
-            assert rec.witness is not None
-            assert rec.witness.largest == 161
+        recs = [es(n, budget_s=300) for n in range(1, 8)]
+        assert [rec.value for rec in recs] == [1, 2, 4, 7, 13, 24, 44]
+        assert all(rec.status == COMPUTED for rec in recs)
+        for rec in recs:
+            assert rec.witness.largest == rec.value
 
     def test_beyond_known_range_is_bound_only(self):
-        table = es_table(12, budget_s=0.05)
         for n in (10, 11, 12):
-            rec = table[n]
+            rec = es(n, budget_s=0.05)
             assert rec.status == BOUND_ONLY
             assert rec.value is None
             assert rec.lower >= erdos_counting_lb(n)
             assert rec.upper == conway_guy_u(n)
-        # the chained bound through ES(9) = 161 beats the counting bound at 10
-        assert table[10].lower >= 162
 
     def test_record_value_property(self):
         rec = EsRecord(3, COMPUTED, 4, 4, conway_guy_set(3))

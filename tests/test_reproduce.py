@@ -1,10 +1,47 @@
-"""Row-level harness tests: budget degradation, filters, report rendering."""
+"""Row-level harness tests: budget degradation, filters, report rendering,
+and the golden report.
+
+``reproduce_golden.json`` holds every row but es-8, default and with the
+heavy rows, without ``seconds``.  A change to a witness or a search count
+must regenerate it and say so: ``PYTHONPATH=src python tests/test_reproduce.py``.
+"""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from arlabel.reproduce import MATCH, SKIPPED, run_reproduction
+from arlabel.reproduce import MATCH, SKIPPED, _claims, run_reproduction
+
+GOLDEN = Path(__file__).with_name("reproduce_golden.json")
+# es-8 alone takes about 25 s; CI runs it in its own steps.
+GOLDEN_ROWS = {claim.claim_id for claim in _claims()} - {"es-8"}
+
+
+def _golden_reports() -> dict:
+    reports = {}
+    for key, heavy in (("default", False), ("heavy", True)):
+        doc = run_reproduction(include_heavy=heavy, only=GOLDEN_ROWS).as_dict()
+        for row in doc["rows"]:
+            del row["seconds"]
+        # Through JSON, as the fixture was written: integer keys become strings.
+        reports[key] = json.loads(json.dumps(doc))
+    return reports
+
+
+def test_rows_match_golden_report():
+    # Status, computed text and artifact of every row, witnesses and search
+    # counts included.
+    assert _golden_reports() == json.loads(GOLDEN.read_text())
+
+
+def test_row_budget_bounds_all_its_searches(slow_clock):
+    # Every clock read advances the clock one second.  An 8 s budget outlasts
+    # each of star-index's searches alone but not all of them together: the
+    # row's deadline bounds its work.
+    (row,) = run_reproduction(only={"star-index"}, budget_override_s=8).rows
+    assert row.status == SKIPPED
+    assert row.computed.startswith("budget expired at ")
 
 
 def test_only_filter_limits_rows():
@@ -57,3 +94,7 @@ def test_artifacts_back_every_computed_row():
     )
     for row in report.rows:
         assert row.artifact, row.claim_id
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_golden_reports(), indent=1, sort_keys=True) + "\n")

@@ -1,4 +1,4 @@
-"""Solver tests: bounds, the backtracking search, covers, wheels, embedding."""
+"""Solver tests: bounds, the backtracking search, covers, wheels."""
 
 from __future__ import annotations
 
@@ -35,9 +35,7 @@ from arlabel.solver import (
     can_complete,
     counting_prune,
     disjoint_dss_cover,
-    embed_in_ar_graph,
     find_ar_labeling,
-    is_almost_ar,
     is_ar_graph,
     label_wheel,
 )
@@ -380,8 +378,10 @@ class TestArGraphDecision:
         assert is_ar_graph(bistar(4, 4), FAST) is False
 
     def test_almost_ar(self):
-        assert is_almost_ar(bistar(3, 3), FAST) is True
-        assert is_almost_ar(bistar(2, 2), FAST) is False  # already AR
+        # Almost AR: the index is the edge count plus one.
+        b33, b22 = bistar(3, 3), bistar(2, 2)
+        assert ari(b33, FAST).value == b33.edge_count() + 1
+        assert ari(b22, FAST).value == b22.edge_count()  # already AR
 
     def test_timeout_is_none(self, slow_clock):
         # The K_6@15 search reaches a clock check (every 1024 nodes or
@@ -707,64 +707,6 @@ class TestLabelWheel:
     def test_unsupported_size_beyond_known_range(self):
         with pytest.raises(UnsupportedSizeError):
             label_wheel(11, SearchConfig(budget_s=0.05))
-
-
-class TestEmbed:
-    def test_ar_graph_returned_unchanged(self):
-        g, labeling = embed_in_ar_graph(path(4), FAST)
-        assert g == path(4)
-        assert is_ar_labeling(g, labeling).ok
-
-    def test_star3_embeds_into_ar_supergraph(self):
-        g = star(3)
-        h, labeling = embed_in_ar_graph(g, FAST)
-        assert is_ar_labeling(h, labeling).ok
-        assert max(labeling.labels) <= h.edge_count()
-        # induced containment: all original edges present, no new edge joins
-        # two original vertices
-        original = set(g.edges)
-        assert original <= set(h.edges)
-        for u, v in set(h.edges) - original:
-            assert v >= g.vertex_count
-
-    def test_star5_embedding(self):
-        h, labeling = embed_in_ar_graph(star(5), SearchConfig(budget_s=120))
-        assert is_ar_labeling(h, labeling).ok
-        assert max(labeling.labels) <= h.edge_count()
-
-    def test_bistar33_embedding(self):
-        h, labeling = embed_in_ar_graph(bistar(3, 3), SearchConfig(budget_s=120))
-        assert is_ar_labeling(h, labeling).ok
-        assert max(labeling.labels) <= h.edge_count()
-        assert set(bistar(3, 3).edges) <= set(h.edges)
-
-    def test_wheel6_embedding(self):
-        # W_6 + pendant needs the unique 6-element DSS set within {1..24} on
-        # its hub, then a 13-vertex tail absorbs the unused labels.
-        h, labeling = embed_in_ar_graph(wheel(6), SearchConfig(budget_s=300))
-        assert is_ar_labeling(h, labeling).ok
-        assert h.edge_count() == 24
-        assert sorted(labeling.labels) == list(range(1, 25))
-
-    def test_k6_embedding_exceeds_sane_budgets(self, slow_clock):
-        from arlabel.errors import SearchTimeout
-
-        # The embedding starts with the K_6@15 search, which reaches a
-        # clock check (every 1024 nodes or probes) before it ends.
-        cfg = SearchConfig(budget_s=0.5)
-        out = find_ar_labeling(complete(6), 15, cfg)
-        assert out.stats.nodes >= 1024 or out.stats.probes >= 1024
-        with pytest.raises(SearchTimeout):
-            embed_in_ar_graph(complete(6), cfg)
-
-    def test_k6_embedding(self):
-        # K_6 and K_6 + pendant are refuted at their edge counts, so the
-        # supergraph carries a tail that absorbs the labels ARI(G') leaves.
-        h, labeling = embed_in_ar_graph(complete(6), FAST)
-        assert is_ar_labeling(h, labeling).ok
-        assert h.edge_count() == 24
-        assert sorted(labeling.labels) == list(range(1, 25))
-        assert set(complete(6).edges) <= set(h.edges)
 
 
 class TestSearchConfig:
