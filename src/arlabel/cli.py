@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -158,7 +159,7 @@ def cmd_ari(args: argparse.Namespace) -> int:
         "upper": result.upper,
         "value": result.value,
         "witness": list(result.witness.labels) if result.witness else None,
-        "search": result.stats.as_dict(),
+        "search": asdict(result.stats),
     }
     if result.status != EXACT:
         text = (

@@ -18,7 +18,3 @@ class ParseError(ValueError):
 
 class SearchTimeout(RuntimeError):
     """The search budget expired where an exact answer was required."""
-
-
-class UnsupportedSizeError(ValueError):
-    """The requested instance needs an ES value that is not available."""

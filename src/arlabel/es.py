@@ -11,10 +11,11 @@ variance sum(a^2)/4.  For a DSS set that sum takes 2^n distinct integer
 values with equal probability, so its variance is at least (4^n - 1)/12.
 Hence every DSS n-set has sum(a^2) >= (4^n - 1)/3.
 
-Candidate maxima are tried upward from the largest of three proved lower
-bounds, none of them read from the table of known values: counting,
-Erdos-Moser, and C(n, floor(n/2)) (Dubroff, Fox & Xu).  The prefix floors
-inside the search still come from ``es_floor``, which reads the table.
+Candidate maxima below the Conway-Guy bound u(n) are tried upward from the
+largest of three proved lower bounds: counting, Erdos-Moser, and
+C(n, floor(n/2)) (Dubroff, Fox & Xu).  Once all of them are refuted, the
+Conway-Guy set is the witness for ES(n) = u(n).  The search reads nothing
+from the table of known values.
 """
 
 from __future__ import annotations
@@ -158,9 +159,7 @@ def _square_floor(rem: int, deficit: int) -> int:
     return (r1 + s + 1) // 2
 
 
-def _witness_with_max(
-    n: int, x: int, floors: list[int], deadline: float
-) -> tuple[tuple[int, ...] | None, int]:
+def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] | None, int]:
     """(An n-element DSS subset of {1..x} containing x, or None; nodes).
 
     Depth-first over elements in decreasing order, larger candidates first.
@@ -168,8 +167,8 @@ def _witness_with_max(
     on the largest element a still to pick, minus the labels the chosen
     elements' difference mask rules out (see the dss module docstring).
     The bounds are:
-      - the prefix bound: the element chosen with rem still to pick is the
-        rem-th smallest, hence >= ES(rem);
+      - the prefix bound: a is the largest of rem distinct positive
+        integers, hence >= rem;
       - the second-moment bound (module docstring): the squares must reach
         (4^n - 1)/3, and the rem elements still to pick add at most
         sum_{i<rem} (a - i)^2.
@@ -179,22 +178,19 @@ def _witness_with_max(
     difference mask wider than ``_MAX_MASK_BITS`` would be built it raises
     _MaskCapReached: x is then left undecided.
     """
+    if x < n:
+        return None, 0
     if n == 1:
         return (x,), 0
+    if n == 2:  # {b, x} is DSS for every b < x: take the largest, one node
+        return (x - 1, x), 1
     # need[rem] - sq is the deficit _square_floor must cover: the squares'
     # target less the constant term sum_{i<rem} i^2 of the expansion.
     squares = ((1 << 2 * n) - 1) // 3
     need = [squares - (rem - 1) * rem * (2 * rem - 1) // 6 for rem in range(n)]
-    # The root's bounds, tested before its mask is built: an x they refute
-    # costs no mask.
-    if floors[n - 1] > x - 1 or _square_floor(n - 1, need[n - 1] - x * x) > x - 1:
-        return None, 0
-    if n == 2:  # {b, x} is DSS for every b < x: take the largest, one node
-        return (x - 1, x), 1
     off = n * x  # no n distinct elements of {1..x} sum to more
     if 2 * off + 1 > _MAX_MASK_BITS:
         raise _MaskCapReached
-    f1 = floors[1]
     nodes = 0
     monotonic = time.monotonic
 
@@ -202,10 +198,9 @@ def _witness_with_max(
     # reference cycle outlives the search.
     def down(z: int, hi: int, rem: int, sq: int, down) -> tuple[int, ...] | None:
         nonlocal nodes
-        lo = floors[rem]
-        floor = _square_floor(rem, need[rem] - sq)
-        if floor > lo:
-            lo = floor
+        lo = _square_floor(rem, need[rem] - sq)
+        if lo < rem:
+            lo = rem
         if lo > hi:
             return None
         h = z >> off
@@ -224,10 +219,9 @@ def _witness_with_max(
         # The last two picks in one loop, with no call per candidate.  The
         # last element b < a must reach the squares' target alone, so
         # b >= ceil(sqrt(deficit)); that floor is at most a - 1 because a
-        # passed the rem == 2 bound, and floors[1] < floors[2] <= a.  The
-        # labels legal after a are the clear bits of
-        # (z | z << a | z >> a) >> off, computed here from h without the
-        # shifts of z that do not reach them.
+        # passed the rem == 2 bound.  The labels legal after a are the clear
+        # bits of (z | z << a | z >> a) >> off, computed here from h without
+        # the shifts of z that do not reach them.
         target = squares - sq
         while cand:
             a = cand.bit_length() - 1
@@ -236,9 +230,7 @@ def _witness_with_max(
             if nodes & 1023 == 0 and monotonic() > deadline:
                 raise SearchTimeout(nodes)
             deficit = target - a * a
-            lo1 = isqrt(deficit - 1) + 1 if deficit > 0 else 0
-            if lo1 < f1:
-                lo1 = f1
+            lo1 = isqrt(deficit - 1) + 1 if deficit > 0 else 1
             last = ((1 << a) - (1 << lo1)) & ~(h | z >> (off - a) | h >> a)
             if last:
                 nodes += 1
@@ -256,45 +248,32 @@ def _es_start(n: int) -> int:
     return max(erdos_counting_lb(n), erdos_moser_lb(n), comb(n, n // 2))
 
 
-def _search_es(n: int, deadline: float) -> tuple[str, int, tuple[int, ...] | None, int]:
-    """("computed", ES(n), witness, nodes), or (why it stopped, first
-    undecided x, None, nodes), where why is ``STOPPED_BY_BUDGET`` or
-    ``STOPPED_BY_MASK_CAP``.  The clock is read once per candidate maximum x
-    as well as every 1024 nodes inside the search, so a run of x that take
-    few nodes each still stops on time."""
-    hi = conway_guy_u(n)
-    floors = [0] * n
-    for j in range(1, n):
-        floors[j] = es_floor(j)
-    nodes = 0
-    for x in range(_es_start(n), hi + 1):
-        if time.monotonic() > deadline:
-            return (STOPPED_BY_BUDGET, x, None, nodes)
-        try:
-            witness, used = _witness_with_max(n, x, floors, deadline)
-        except SearchTimeout as stop:
-            return (STOPPED_BY_BUDGET, x, None, nodes + stop.args[0])
-        except _MaskCapReached:
-            return (STOPPED_BY_MASK_CAP, x, None, nodes)
-        nodes += used
-        if witness is not None:
-            return (COMPUTED, x, witness, nodes)
-    raise RuntimeError("internal: search exceeded the Conway-Guy upper bound")
-
-
 def es(n: int, budget_s: float = 60.0) -> EsRecord:
     """Compute ES(n) exactly with a certified witness, within ``budget_s``.
 
     On timeout, or when the next candidate maximum needs a difference mask
     above the cap, the record degrades to a bound-only interval [first
     candidate maximum not yet refuted, conway_guy_u(n)] whose ``stopped_by``
-    says which; neither is an exception.
+    says which; neither is an exception.  The clock is read once per
+    candidate maximum as well as every 1024 nodes inside the search, so a
+    run of candidates that take few nodes each still stops on time.
     """
     _check_n(n)
     if budget_s <= 0:
         raise ValueError("budget must be positive")
     deadline = time.monotonic() + budget_s
-    kind, x, witness, nodes = _search_es(n, deadline)
-    if kind == COMPUTED:
-        return EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
-    return EsRecord(n, BOUND_ONLY, x, conway_guy_u(n), None, nodes, kind)
+    hi = conway_guy_u(n)
+    nodes = 0
+    for x in range(_es_start(n), hi):
+        try:
+            if time.monotonic() > deadline:
+                raise SearchTimeout(0)
+            witness, used = _witness_with_max(n, x, deadline)
+        except SearchTimeout as stop:
+            return EsRecord(n, BOUND_ONLY, x, hi, None, nodes + stop.args[0], STOPPED_BY_BUDGET)
+        except _MaskCapReached:
+            return EsRecord(n, BOUND_ONLY, x, hi, None, nodes, STOPPED_BY_MASK_CAP)
+        nodes += used
+        if witness is not None:
+            return EsRecord(n, COMPUTED, x, x, DssSet(witness), nodes)
+    return EsRecord(n, COMPUTED, hi, hi, conway_guy_set(n), nodes)

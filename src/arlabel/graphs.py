@@ -64,15 +64,6 @@ class Graph:
             lists[v].append(i)
         return tuple(tuple(l) for l in lists)
 
-    @cached_property
-    def edge_orbits(self) -> tuple[int, ...]:
-        """Per edge, the smallest edge index in its orbit under Aut(G)."""
-        # Only the edge search needs orbits, so the module is imported here:
-        # other commands do not load it at start-up.
-        from .orbits import edge_orbits
-
-        return edge_orbits(self)
-
     def edge_count(self) -> int:
         return len(self.edges)
 

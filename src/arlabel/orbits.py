@@ -100,8 +100,13 @@ def edge_orbits(g: Graph, deadline: float = math.inf) -> tuple[int, ...]:
 
     Raises SearchTimeout once ``deadline``, a ``time.monotonic()`` reading,
     has passed.  The clock is read at every 16th automorphism search, which
-    takes well under a millisecond with at most 40 edges.
+    takes well under a millisecond with at most 40 edges.  A finished result
+    is kept on g and returned by later calls; a search stopped by the
+    deadline keeps nothing.
     """
+    known = g.__dict__.get("_edge_orbits")
+    if known is not None:
+        return known
     n = g.vertex_count
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
@@ -147,7 +152,8 @@ def edge_orbits(g: Graph, deadline: float = math.inf) -> tuple[int, ...]:
                 if lo != hi:
                     orbit = [lo if o == hi else o for o in orbit]
             break
-    return tuple(orbit)
+    known = g.__dict__["_edge_orbits"] = tuple(orbit)
+    return known
 
 
 def twin_pairs(g: Graph) -> list[Edge]:
@@ -173,14 +179,3 @@ def twin_pairs(g: Graph) -> list[Edge]:
             pairs += [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
     return sorted(pairs)
 
-
-def edge_orbits_by(g: Graph, deadline: float) -> tuple[int, ...]:
-    """``g.edge_orbits``, computed under ``deadline`` if not yet known.
-
-    A finished result is kept where the cached property ``Graph.edge_orbits``
-    keeps it; a search stopped by the deadline keeps nothing.
-    """
-    orbits = g.__dict__.get("edge_orbits")
-    if orbits is None:
-        orbits = g.__dict__["edge_orbits"] = edge_orbits(g, deadline)
-    return orbits

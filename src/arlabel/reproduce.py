@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
@@ -235,7 +235,7 @@ def _run_complete_six(deadline: float, artifact: dict) -> tuple[str, bool | None
     if out.labeling is not None:
         artifact["labels"] = list(out.labeling.labels)
         return ("found an AR-labeling of K_6", False)
-    artifact["search"] = out.stats.as_dict()
+    artifact["search"] = asdict(out.stats)
     return ("label budget 15 refuted exhaustively", True)
 
 
@@ -289,7 +289,7 @@ def _run_ar_family(
         if out.labeling is not None:
             witnesses[key] = list(out.labeling.labels)
         else:
-            witnesses[key] = {"refuted": out.stats.as_dict()}
+            witnesses[key] = {"refuted": asdict(out.stats)}
         parts.append(f"{g.name} AR={out.labeling is not None}")
     return ("; ".join(parts), all(isinstance(w, list) for w in witnesses.values()))
 

@@ -32,7 +32,7 @@ first.  Only the counts of a run change.
 
 ``find_ar_labeling`` runs the kernel once, or, when label k must be used,
 once per edge orbit of the graph's automorphism group with k pinned to the
-orbit's first edge (``Graph.edge_orbits``).  Every labeling is the image of
+orbit's first edge (``orbits.edge_orbits``).  Every labeling is the image of
 one with k on such an edge, so the pin only skips symmetric copies; the
 witness is then the first of the first orbit that has one.  A completed
 assignment is an AR-labeling by construction (and is re-verified); an
@@ -42,12 +42,12 @@ exhausted search is a refutation certificate for that label budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .check import Labeling, is_ar_labeling
 from .dss import DssSet, _dss_sets_with_min
-from .errors import SearchTimeout, UnsupportedSizeError
-from .es import conway_guy_set, conway_guy_u, es, es_floor
+from .errors import SearchTimeout
+from .es import conway_guy_set, conway_guy_u, es_floor
 from .graphs import Graph, wheel
 
 EXACT = "exact"
@@ -95,15 +95,10 @@ class SearchStats:
     probes: int = 0
     counting_refuted: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "occupancy_prunes": self.occupancy_prunes,
-            "symmetry_prunes": self.symmetry_prunes,
-            "forward_prunes": self.forward_prunes,
-            "probes": self.probes,
-            "counting_refuted": self.counting_refuted,
-        }
+
+# The integer counters of SearchStats, which ``ari`` adds up over its runs.
+# ``counting_refuted`` defaults to a bool, which is not an int here.
+_COUNTERS = tuple(f.name for f in fields(SearchStats) if type(f.default) is int)
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def find_ar_labeling(
     labels that already break DSS at some vertex give an exhausted refutation.
 
     When some edge must carry label k and nothing is fixed, the kernel runs
-    once per edge orbit of Aut(g) (``Graph.edge_orbits``), with k on the
+    once per edge orbit of Aut(g) (``orbits.edge_orbits``), with k on the
     orbit's first edge in search order, orbits in the order of those edges.
     An automorphism maps a labeling with k on any edge of the orbit to one
     with k on that edge, so the runs together miss no labeling.  Label k
@@ -272,10 +267,11 @@ def find_ar_labeling(
     labels = None
     try:
         if not fixed and (_require_label_k or k == m):
-            # Imported here, as by Graph.edge_orbits: only this search needs it.
-            from .orbits import edge_orbits_by
+            # Imported here: only this search needs it, so other commands
+            # do not load it at start-up.
+            from .orbits import edge_orbits
 
-            orbits = edge_orbits_by(g, deadline)
+            orbits = edge_orbits(g, deadline)
             firsts: dict[int, int] = {}
             for e in _search_order(g):
                 firsts.setdefault(orbits[e], e)
@@ -469,24 +465,13 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
             return AriResult(g, BOUNDS_ONLY, k, upper, None, total)
         step_cfg = SearchConfig(budget_s=remaining)
         outcome = find_ar_labeling(g, k, step_cfg, _require_label_k=True)
-        total.nodes += outcome.stats.nodes
-        total.occupancy_prunes += outcome.stats.occupancy_prunes
-        total.symmetry_prunes += outcome.stats.symmetry_prunes
-        total.forward_prunes += outcome.stats.forward_prunes
-        total.probes += outcome.stats.probes
+        for name in _COUNTERS:
+            setattr(total, name, getattr(total, name) + getattr(outcome.stats, name))
         if outcome.labeling is not None:
             return AriResult(g, EXACT, k, k, outcome.labeling, total)
         if not outcome.exhausted:
             return AriResult(g, BOUNDS_ONLY, k, upper, None, total)
         k += 1
-
-
-def is_ar_graph(g: Graph, cfg: SearchConfig | None = None) -> bool | None:
-    """Does g admit an AR-labeling within {1..m(g)}?  None on timeout."""
-    outcome = find_ar_labeling(g, g.edge_count(), cfg)
-    if outcome.labeling is not None:
-        return True
-    return False if outcome.exhausted else None
 
 
 def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
@@ -540,8 +525,8 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
 def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:
     """A verified AR-labeling of W_n with maximum label exactly ES(n-1).
 
-    The spokes carry a DSS set whose maximum is ES(n-1): the Conway-Guy set
-    for n <= 10, the exact ES search's witness beyond.  The edge kernel
+    The spokes carry the Conway-Guy set for n-1, whose maximum u(n-1) is
+    ES(n-1) for 6 <= n <= 10; other n raise ValueError.  The edge kernel
     completes the rim around them (``find_ar_labeling`` with the spokes
     fixed).  It tries the lowest label first, so each rim edge gets the
     smallest unused label after which both endpoints can still complete to
@@ -549,19 +534,9 @@ def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:
     take one node per rim edge, without backtracking.
     """
     cfg = cfg or SearchConfig()
-    if n < 6:
-        raise ValueError("wheel labeling construction needs n >= 6")
-    d = n - 1  # hub degree == rim length
-    if d > 9:
-        rec = es(d, budget_s=cfg.budget_s)
-        if rec.witness is None:
-            raise UnsupportedSizeError(
-                f"ES({d}) is unavailable: exact search returned bounds "
-                f"[{rec.lower}, {rec.upper}] within the budget"
-            )
-        spokes = rec.witness
-    else:
-        spokes = conway_guy_set(d)
+    if not 6 <= n <= 10:
+        raise ValueError(f"wheel labeling construction needs 6 <= n <= 10, got {n}")
+    spokes = conway_guy_set(n - 1)
     g = wheel(n)
     # The hub's edges, in index order, go to rim vertices 1..n-1.
     fixed = dict(zip(g.incident_edges(0), spokes))

@@ -35,7 +35,6 @@ from arlabel.solver import (
     counting_prune,
     disjoint_dss_cover,
     find_ar_labeling,
-    is_ar_graph,
     label_wheel,
 )
 from conftest import naive_ari, small_family_graphs
@@ -125,13 +124,13 @@ class TestCriterion4Bistars:
     def test_bistar_classification(self):
         t0 = time.perf_counter()
         cfg = SearchConfig(budget_s=120)
-        assert is_ar_graph(bistar(1, 1), cfg) is True
-        assert is_ar_graph(bistar(2, 2), cfg) is True
-        assert is_ar_graph(bistar(3, 3), cfg) is False
+        for a, is_ar in ((1, True), (2, True), (3, False), (4, False)):
+            g = bistar(a, a)
+            out = find_ar_labeling(g, g.edge_count(), cfg)
+            assert out.exhausted and (out.labeling is not None) == is_ar, a
         res = ari(bistar(3, 3), cfg)
         assert res.value == 8
         assert res.value == bistar(3, 3).edge_count() + 1  # almost AR
-        assert is_ar_graph(bistar(4, 4), cfg) is False
         dt = time.perf_counter() - t0
         assert dt < 300
         report("criterion 4", f"bistar classification reproduced in {dt:.2f}s")
@@ -249,9 +248,10 @@ class TestCriterion9Wheels:
 
     def test_only_w4_w5_are_ar(self):
         cfg = SearchConfig(budget_s=120)
-        assert is_ar_graph(wheel(4), cfg) is True
-        assert is_ar_graph(wheel(5), cfg) is True
-        assert is_ar_graph(wheel(6), cfg) is False
+        for n, is_ar in ((4, True), (5, True), (6, False)):
+            g = wheel(n)
+            out = find_ar_labeling(g, g.edge_count(), cfg)
+            assert out.exhausted and (out.labeling is not None) == is_ar, n
         report("criterion 9b", "AR-wheels are exactly W_4 and W_5")
 
 

@@ -48,7 +48,7 @@ class TestEsCommand:
         doc = json.loads(out)
         assert doc["value"] == 7
         assert doc["witness"] == [3, 5, 6, 7]
-        assert doc["nodes"] == 5
+        assert doc["nodes"] == 2
 
     def test_es_seven_with_budget_flag(self, capsys):
         code, out = run(capsys, "es", "7", "--budget", "300s")

@@ -3,6 +3,7 @@ exact search on the fast range."""
 
 from __future__ import annotations
 
+import importlib
 import math
 import time
 from itertools import combinations, count
@@ -25,8 +26,18 @@ from arlabel.es import (
     erdos_counting_lb,
     erdos_moser_lb,
     es,
-    es_floor,
 )
+
+# The first witness of each ES(n) in search order, which pruning must not move.
+FIRST_WITNESSES = {
+    1: (1,),
+    2: (1, 2),
+    3: (2, 3, 4),
+    4: (3, 5, 6, 7),
+    5: (6, 9, 11, 12, 13),
+    6: (11, 17, 20, 22, 23, 24),
+    7: (20, 31, 37, 40, 42, 43, 44),
+}
 
 
 class TestCountingBound:
@@ -139,25 +150,30 @@ class TestEsSearch:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_first_witnesses_pinned(self):
-        # The first witness in search order, which pruning must not move.
-        expected = {
-            1: (1,),
-            2: (1, 2),
-            3: (2, 3, 4),
-            4: (3, 5, 6, 7),
-            5: (6, 9, 11, 12, 13),
-            6: (11, 17, 20, 22, 23, 24),
-            7: (20, 31, 37, 40, 42, 43, 44),
-        }
-        for n, witness in expected.items():
+        for n, witness in FIRST_WITNESSES.items():
             assert es(n, budget_s=60).witness.elements == witness
+
+    def test_needs_no_table(self, monkeypatch):
+        # A computed value rests on proved bounds alone, not on the
+        # published values it is compared against.
+        def no_table(j: int) -> int:
+            raise AssertionError(f"es_floor({j}) read")
+
+        # The package's ``es`` function shadows the module of the same name.
+        module = importlib.import_module("arlabel.es")
+        monkeypatch.setattr(module, "KNOWN_ES", {})
+        monkeypatch.setattr(module, "es_floor", no_table)
+        recs = [es(n, budget_s=60) for n in FIRST_WITNESSES]
+        assert [rec.value for rec in recs] == [1, 2, 4, 7, 13, 24, 44]
+        assert [rec.witness.elements for rec in recs] == list(FIRST_WITNESSES.values())
 
     def test_node_counts_pinned(self):
         # Node counts are deterministic; a weakened or disabled prune grows
         # them (without the second-moment bound ES(7) takes 354,359).  The
         # search starts at C(n, n/2): from ES(n-1) + 1, ES(6) and ES(7) took
-        # 21 and 127 more nodes below it.
-        expected = {5: 47, 6: 1_629, 7: 93_777}
+        # 21 and 127 more nodes below it.  No candidate at u(n) is searched:
+        # the Conway-Guy set is its witness.
+        expected = {5: 43, 6: 1_625, 7: 93_970}
         for n, nodes in expected.items():
             assert es(n, budget_s=60).nodes == nodes
 
@@ -219,8 +235,7 @@ class TestWitnessSoundness:
 
     @staticmethod
     def _pruned(n: int, x: int) -> tuple[int, ...] | None:
-        floors = [0] + [es_floor(j) for j in range(1, n)]
-        witness, _ = _witness_with_max(n, x, floors, time.monotonic() + 60)
+        witness, _ = _witness_with_max(n, x, time.monotonic() + 60)
         return witness
 
     def test_matches_brute_force_up_to_five(self):

@@ -44,6 +44,15 @@ def test_row_budget_bounds_all_its_searches(slow_clock):
     assert row.computed.startswith("budget expired at ")
 
 
+def test_es_row_decides_the_last_candidate_without_search(slow_clock):
+    # Once every candidate below u(3) = 4 is refuted, ES(3) = 4 has the
+    # Conway-Guy set as its witness: the budget cannot leave it open.
+    (row,) = run_reproduction(only={"es-values-1-6"}, budget_override_s=8).rows
+    assert row.status == SKIPPED
+    assert row.computed == "budget expired at n=4"
+    assert row.artifact["witnesses"][3] == [2, 3, 4]
+
+
 def test_only_filter_limits_rows():
     report = run_reproduction(only={"dss-unique-4-within-7"})
     assert [r.claim_id for r in report.rows] == ["dss-unique-4-within-7"]

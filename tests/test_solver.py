@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import os
 import random
+import time
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -12,8 +14,8 @@ import pytest
 from arlabel import dss, orbits, solver
 from arlabel.check import is_ar_labeling
 from arlabel.dss import difference_mask, enumerate_dss_sets, is_dss
-from arlabel.errors import UnsupportedSizeError
 from arlabel.es import KNOWN_ES, conway_guy_set, es_floor
+from arlabel.orbits import edge_orbits
 from arlabel.graphs import (
     Graph,
     bistar,
@@ -36,7 +38,6 @@ from arlabel.solver import (
     counting_prune,
     disjoint_dss_cover,
     find_ar_labeling,
-    is_ar_graph,
     label_wheel,
 )
 from conftest import (
@@ -365,17 +366,20 @@ class TestAri:
 
 
 class TestArGraphDecision:
+    """Is g an AR-graph: the search at label budget m(g) finds a labeling,
+    or is exhausted without one."""
+
     def test_complete_graphs(self):
-        assert is_ar_graph(complete(2), FAST) is True
-        assert is_ar_graph(complete(3), FAST) is True
-        assert is_ar_graph(complete(4), FAST) is True
-        assert is_ar_graph(complete(5), SearchConfig(budget_s=120)) is True
+        for n in (2, 3, 4, 5):
+            g = complete(n)
+            out = find_ar_labeling(g, g.edge_count(), SearchConfig(budget_s=120))
+            assert out.exhausted and out.labeling is not None, n
 
     def test_bistars(self):
-        assert is_ar_graph(bistar(1, 1), FAST) is True
-        assert is_ar_graph(bistar(2, 2), FAST) is True
-        assert is_ar_graph(bistar(3, 3), FAST) is False
-        assert is_ar_graph(bistar(4, 4), FAST) is False
+        for a, is_ar in ((1, True), (2, True), (3, False), (4, False)):
+            g = bistar(a, a)
+            out = find_ar_labeling(g, g.edge_count(), FAST)
+            assert out.exhausted and (out.labeling is not None) == is_ar, a
 
     def test_almost_ar(self):
         # Almost AR: the index is the edge count plus one.
@@ -386,10 +390,9 @@ class TestArGraphDecision:
     def test_timeout_is_none(self, slow_clock):
         # The K_6@15 search reaches a clock check (every 1024 nodes or
         # probes) before it ends.
-        cfg = SearchConfig(budget_s=0.02)
-        out = find_ar_labeling(complete(6), 15, cfg)
+        out = find_ar_labeling(complete(6), 15, SearchConfig(budget_s=0.02))
         assert out.stats.nodes >= 1024 or out.stats.probes >= 1024
-        assert is_ar_graph(complete(6), cfg) is None
+        assert out.labeling is None and not out.exhausted
 
 
 class TestOrbitPin:
@@ -410,7 +413,7 @@ class TestOrbitPin:
         out = find_ar_labeling(g, 7, FAST)
         assert out.labeling is None and out.exhausted
         assert runs == [{order[0]: 7}, {order[1]: 7}]
-        assert g.edge_orbits[order[0]] != g.edge_orbits[order[1]]
+        assert edge_orbits(g)[order[0]] != edge_orbits(g)[order[1]]
         # Label 8 need not be used; fixed labels turn the pin off.
         runs.clear()
         assert find_ar_labeling(g, 8, FAST).labeling is not None
@@ -467,10 +470,11 @@ class TestOrbitBudget:
         out = find_ar_labeling(g, 40, SearchConfig(budget_s=0.01))
         assert out.labeling is None and not out.exhausted
         assert out.stats.nodes == 0
-        # The stopped search kept nothing.  Once the orbits are known, the
-        # same budget suffices: the kernel takes 39 nodes, no clock check.
-        assert "edge_orbits" not in vars(g)
-        assert g.edge_orbits == (0,) * 40
+        # The stopped search kept nothing: the next one stops as well.  Once
+        # the orbits are known, the same budget suffices: the kernel takes 39
+        # nodes, no clock check.
+        assert not find_ar_labeling(g, 40, SearchConfig(budget_s=0.01)).exhausted
+        assert edge_orbits(g) == (0,) * 40
         out = find_ar_labeling(g, 40, SearchConfig(budget_s=0.01))
         assert out.labeling is not None and out.exhausted
 
@@ -658,7 +662,8 @@ class TestDisjointCover:
     def test_no_cover_implies_not_ar_small(self):
         # the cover condition is necessary: its failure must refute the graph
         assert disjoint_dss_cover(1, 3) is None
-        assert is_ar_graph(star(3), FAST) is False
+        out = find_ar_labeling(star(3), 3, FAST)
+        assert out.exhausted and out.labeling is None
 
     @pytest.mark.skipif(
         not __import__("os").environ.get("ARLABEL_HEAVY"),
@@ -666,7 +671,8 @@ class TestDisjointCover:
     )
     def test_no_cover_implies_not_ar_3_5(self):
         assert disjoint_dss_cover(3, 5) is None
-        assert is_ar_graph(complete_bipartite(3, 5), SearchConfig(budget_s=600)) is False
+        out = find_ar_labeling(complete_bipartite(3, 5), 15, SearchConfig(budget_s=600))
+        assert out.exhausted and out.labeling is None
 
 
 class TestLabelWheel:
@@ -704,9 +710,13 @@ class TestLabelWheel:
         with pytest.raises(ValueError):
             label_wheel(5, FAST)
 
-    def test_unsupported_size_beyond_known_range(self):
-        with pytest.raises(UnsupportedSizeError):
-            label_wheel(11, SearchConfig(budget_s=0.05))
+    def test_unsupported_size_beyond_known_range(self, slow_clock):
+        # Beyond W_10 the Conway-Guy spokes are not known to reach ES(n-1):
+        # rejected at once, before any clock read.
+        for n in (11, 12, 40):
+            with pytest.raises(ValueError, match="6 <= n <= 10"):
+                label_wheel(n, SearchConfig(budget_s=0.05))
+        assert time.monotonic() == 1.0
 
 
 class TestSearchConfig:
@@ -717,9 +727,9 @@ class TestSearchConfig:
     def test_stats_populated(self):
         out = find_ar_labeling(complete(4), 6, FAST)
         assert out.stats.nodes > 0
-        assert out.stats.as_dict()["nodes"] == out.stats.nodes
-        assert out.stats.as_dict()["probes"] == out.stats.probes > 0
-        assert out.stats.as_dict()["symmetry_prunes"] == out.stats.symmetry_prunes
+        assert asdict(out.stats)["nodes"] == out.stats.nodes
+        assert asdict(out.stats)["probes"] == out.stats.probes > 0
+        assert asdict(out.stats)["symmetry_prunes"] == out.stats.symmetry_prunes
 
     def test_ari_totals_include_probes(self):
         g = bistar(3, 3)
@@ -728,11 +738,11 @@ class TestSearchConfig:
             find_ar_labeling(g, k, FAST, _require_label_k=True)
             for k in range(ari_lower_bound(g), result.value + 1)
         ]
-        assert result.stats.probes == sum(out.stats.probes for out in steps) > 0
-        assert result.stats.forward_prunes == sum(out.stats.forward_prunes for out in steps)
-        assert result.stats.symmetry_prunes == sum(
-            out.stats.symmetry_prunes for out in steps
-        ) > 0
+        totals = asdict(result.stats)
+        assert totals.pop("counting_refuted") is False
+        for name, total in totals.items():
+            assert total == sum(asdict(out.stats)[name] for out in steps), name
+        assert totals["probes"] > 0 and totals["symmetry_prunes"] > 0
 
 
 def test_no_edge_graphs_rejected():
