@@ -137,8 +137,9 @@ class EsRecord:
 
 
 def es_floor(j: int) -> int:
-    """A certified lower bound on ES(j): the exact value for j <= 9, the
-    counting bound beyond.  Safe to use inside prunes."""
+    """A certified lower bound on ES(j): the published value for j <= 9, the
+    counting bound beyond.  The solver's counting prune reads it; the ES
+    search does not."""
     return KNOWN_ES[j] if j <= 9 else erdos_counting_lb(j)
 
 

@@ -15,7 +15,6 @@ from arlabel import dss, orbits, solver
 from arlabel.check import is_ar_labeling
 from arlabel.dss import difference_mask, enumerate_dss_sets, is_dss
 from arlabel.es import KNOWN_ES, conway_guy_set, es_floor
-from arlabel.orbits import edge_orbits
 from arlabel.graphs import (
     Graph,
     bistar,
@@ -370,9 +369,9 @@ class TestArGraphDecision:
     or is exhausted without one."""
 
     def test_complete_graphs(self):
-        for n in (2, 3, 4, 5):
+        for n, cfg in ((2, FAST), (3, FAST), (4, FAST), (5, SearchConfig(budget_s=120))):
             g = complete(n)
-            out = find_ar_labeling(g, g.edge_count(), SearchConfig(budget_s=120))
+            out = find_ar_labeling(g, g.edge_count(), cfg)
             assert out.exhausted and out.labeling is not None, n
 
     def test_bistars(self):
@@ -413,7 +412,7 @@ class TestOrbitPin:
         out = find_ar_labeling(g, 7, FAST)
         assert out.labeling is None and out.exhausted
         assert runs == [{order[0]: 7}, {order[1]: 7}]
-        assert edge_orbits(g)[order[0]] != edge_orbits(g)[order[1]]
+        assert orbits.edge_orbits(g)[order[0]] != orbits.edge_orbits(g)[order[1]]
         # Label 8 need not be used; fixed labels turn the pin off.
         runs.clear()
         assert find_ar_labeling(g, 8, FAST).labeling is not None
@@ -474,7 +473,7 @@ class TestOrbitBudget:
         # the orbits are known, the same budget suffices: the kernel takes 39
         # nodes, no clock check.
         assert not find_ar_labeling(g, 40, SearchConfig(budget_s=0.01)).exhausted
-        assert edge_orbits(g) == (0,) * 40
+        assert orbits.edge_orbits(g) == (0,) * 40
         out = find_ar_labeling(g, 40, SearchConfig(budget_s=0.01))
         assert out.labeling is not None and out.exhausted
 
