@@ -1,7 +1,8 @@
 """Command-line surface: thin adapters over the library.
 
 Exit codes: 0 success / all claims match, 1 verification or claim failure,
-2 input error, 3 budget exhausted.
+2 input error (bad arguments, or a missing, unreadable or directory path),
+3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .check import Verdict, save_labeling, verify_files
-from .dss import checked_elements, enumerate_dss_sets, subset_sum_collision
-from .es import BOUND_ONLY, STOPPED_BY_MASK_CAP, es
 from .graphs import (
     Graph,
     bistar,
@@ -28,8 +26,6 @@ from .graphs import (
     star,
     wheel,
 )
-from .reproduce import run_reproduction
-from .solver import EXACT, SearchConfig, ari
 
 OK = 0
 FAILED = 1
@@ -92,6 +88,8 @@ def _emit(args: argparse.Namespace, text: str, machine: dict) -> None:
 
 
 def cmd_es(args: argparse.Namespace) -> int:
+    from .es import BOUND_ONLY, STOPPED_BY_MASK_CAP, es
+
     rec = es(args.n, budget_s=args.budget)
     machine = {
         "n": rec.n,
@@ -117,6 +115,8 @@ def cmd_es(args: argparse.Namespace) -> int:
 
 
 def cmd_dss_check(args: argparse.Namespace) -> int:
+    from .dss import checked_elements, subset_sum_collision
+
     ordered = checked_elements(args.elements)
     collision = subset_sum_collision(ordered)
     if collision is None:
@@ -130,6 +130,8 @@ def cmd_dss_check(args: argparse.Namespace) -> int:
 
 
 def cmd_dss_enum(args: argparse.Namespace) -> int:
+    from .dss import enumerate_dss_sets
+
     sets = enumerate_dss_sets(args.size, args.cap)
     lines = [str(list(s.elements)) for s in sets]
     text = "\n".join(lines + [f"-- {len(sets)} set(s)"])
@@ -138,13 +140,18 @@ def cmd_dss_enum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    verdict: Verdict = verify_files(args.graph, args.labeling)
+    from .check import verify_files
+
+    verdict = verify_files(args.graph, args.labeling)
     machine: dict = {"ok": verdict.ok, "detail": verdict.describe()}
     _emit(args, verdict.describe(), machine)
     return OK if verdict.ok else FAILED
 
 
 def cmd_ari(args: argparse.Namespace) -> int:
+    from .check import save_labeling
+    from .solver import EXACT, SearchConfig, ari
+
     if args.file:
         g = load_graph(args.file)
     else:
@@ -188,6 +195,8 @@ def cmd_ari(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    from .reproduce import run_reproduction
+
     report = run_reproduction(
         include_heavy=args.include_heavy,
         budget_override_s=args.budget,
@@ -272,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("ari needs a family spec or --file")
     try:
         return args.func(args)
-    except (ValueError, OverflowError, FileNotFoundError) as exc:  # ParseError is a ValueError
+    except (ValueError, OverflowError, OSError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

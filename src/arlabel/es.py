@@ -161,7 +161,8 @@ def _square_floor(rem: int, deficit: int) -> int:
 
 
 def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] | None, int]:
-    """(An n-element DSS subset of {1..x} containing x, or None; nodes).
+    """(An n-element DSS subset of {1..x} containing x, or None; nodes),
+    for n >= 3.
 
     Depth-first over elements in decreasing order, larger candidates first.
     Candidates at a node are one mask: the range left by two lower bounds
@@ -179,12 +180,6 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
     difference mask wider than ``_MAX_MASK_BITS`` would be built it raises
     _MaskCapReached: x is then left undecided.
     """
-    if x < n:
-        return None, 0
-    if n == 1:
-        return (x,), 0
-    if n == 2:  # {b, x} is DSS for every b < x: take the largest, one node
-        return (x - 1, x), 1
     # need[rem] - sq is the deficit _square_floor must cover: the squares'
     # target less the constant term sum_{i<rem} i^2 of the expansion.
     squares = ((1 << 2 * n) - 1) // 3

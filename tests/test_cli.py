@@ -82,6 +82,10 @@ class TestEsCommand:
         doc = json.loads(out_file.read_text())
         assert doc["value"] == 7 and doc["witness"] == [3, 5, 6, 7]
 
+    def test_output_to_a_directory_is_input_error(self, capsys, tmp_path):
+        assert main(["es", "4", "--output", str(tmp_path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
 
 class TestDssCommands:
     def test_check_dss(self, capsys):
@@ -170,6 +174,12 @@ class TestVerifyCommand:
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "verify", str(tmp_path / "nope.json"), str(tmp_path / "l.json"))
         assert code == 2
+
+    def test_directory_is_input_error_not_a_failed_check(self, capsys, tmp_path):
+        # Exit 1 would read as an invalid labeling.
+        save_labeling(Labeling((1, 2, 3)), tmp_path / "l.json")
+        assert main(["verify", str(tmp_path), str(tmp_path / "l.json")]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_takes_no_budget(self, tmp_path):
         save_graph(path(4), tmp_path / "g.json")
