@@ -12,10 +12,10 @@ values with equal probability, so its variance is at least (4^n - 1)/12.
 Hence every DSS n-set has sum(a^2) >= (4^n - 1)/3.
 
 Candidate maxima below the Conway-Guy bound u(n) are tried upward from the
-largest of three proved lower bounds: counting, Erdos-Moser, and
-C(n, floor(n/2)) (Dubroff, Fox & Xu).  Once all of them are refuted, the
-Conway-Guy set is the witness for ES(n) = u(n).  The search reads nothing
-from the table of known values.
+proved lower bound C(n, floor(n/2)) (Dubroff, Fox & Xu), which for every
+n <= 62 is at least the counting and Erdos-Moser bounds.  Once all of them
+are refuted, the Conway-Guy set is the witness for ES(n) = u(n).  The search
+reads nothing from the table of known values.
 """
 
 from __future__ import annotations
@@ -143,47 +143,28 @@ def es_floor(j: int) -> int:
     return KNOWN_ES[j] if j <= 9 else erdos_counting_lb(j)
 
 
-def _square_floor(rem: int, deficit: int) -> int:
-    """The smallest a >= 0 with rem*a^2 - rem*(rem-1)*a >= deficit.
-
-    The left side is rem*a*(a - (rem-1)), so for a positive deficit the
-    answer exceeds rem-1, where the left side increases, and
-    a*(a - (rem-1)) >= ceil(deficit/rem) solves as a quadratic in integers.
-    """
-    if deficit <= 0:
-        return 0
-    r1 = rem - 1
-    q = r1 * r1 + 4 * -(-deficit // rem)  # (2a - r1)^2 must reach q
-    s = isqrt(q)
-    if s * s < q:
-        s += 1
-    return (r1 + s + 1) // 2
-
-
 def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] | None, int]:
     """(An n-element DSS subset of {1..x} containing x, or None; nodes),
     for n >= 3.
 
     Depth-first over elements in decreasing order, larger candidates first.
-    Candidates at a node are one mask: the range left by two lower bounds
-    on the largest element a still to pick, minus the labels the chosen
-    elements' difference mask rules out (see the dss module docstring).
-    The bounds are:
+    Candidates at a node are the labels below the last pick that the chosen
+    elements' difference mask leaves legal (see the dss module docstring),
+    tried from the top.  Two bounds on the largest element a still to pick
+    end the node at the first candidate that fails one; both only tighten
+    as a falls:
       - the prefix bound: a is the largest of rem distinct positive
         integers, hence >= rem;
       - the second-moment bound (module docstring): the squares must reach
         (4^n - 1)/3, and the rem elements still to pick add at most
-        sum_{i<rem} (a - i)^2.
+        sum_{i<rem} (a - i)^2 = rem*a^2 - rem*(rem-1)*a + sum_{i<rem} i^2.
     Each cuts only subtrees that hold no DSS set, so the first witness is
     the one plain enumeration in this order finds.  Each element tried
     counts one node.  On timeout raises SearchTimeout(nodes), and before a
     difference mask wider than ``_MAX_MASK_BITS`` would be built it raises
     _MaskCapReached: x is then left undecided.
     """
-    # need[rem] - sq is the deficit _square_floor must cover: the squares'
-    # target less the constant term sum_{i<rem} i^2 of the expansion.
     squares = ((1 << 2 * n) - 1) // 3
-    need = [squares - (rem - 1) * rem * (2 * rem - 1) // 6 for rem in range(n)]
     off = n * x  # no n distinct elements of {1..x} sum to more
     if 2 * off + 1 > _MAX_MASK_BITS:
         raise _MaskCapReached
@@ -194,16 +175,15 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
     # reference cycle outlives the search.
     def down(z: int, hi: int, rem: int, sq: int, down) -> tuple[int, ...] | None:
         nonlocal nodes
-        lo = _square_floor(rem, need[rem] - sq)
-        if lo < rem:
-            lo = rem
-        if lo > hi:
-            return None
+        # What rem*a^2 - rem*(rem-1)*a must still reach.
+        deficit = squares - sq - (rem - 1) * rem * (2 * rem - 1) // 6
         h = z >> off
-        cand = ((1 << (hi + 1)) - (1 << lo)) & ~h
+        cand = ((2 << hi) - 1) & ~h
         if rem > 2:
             while cand:
                 a = cand.bit_length() - 1
+                if a < rem or rem * a * (a - rem + 1) < deficit:
+                    return None
                 cand ^= 1 << a
                 nodes += 1
                 if nodes & 1023 == 0 and monotonic() > deadline:
@@ -213,24 +193,23 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
                     return rest + (a,)
             return None
         # The last two picks in one loop, with no call per candidate.  The
-        # last element b < a must reach the squares' target alone, so
-        # b >= ceil(sqrt(deficit)); that floor is at most a - 1 because a
-        # passed the rem == 2 bound.  The labels legal after a are the clear
-        # bits of (z | z << a | z >> a) >> off, computed here from h without
-        # the shifts of z that do not reach them.
+        # last element b is the largest label below a left legal after a:
+        # the clear bits of (z | z << a | z >> a) >> off, computed here from
+        # h without the shifts of z that do not reach them.  The largest b
+        # adds the most to the squares, so a smaller one cannot reach them.
         target = squares - sq
         while cand:
             a = cand.bit_length() - 1
+            if a < 2 or 2 * a * (a - 1) < deficit:
+                return None
             cand ^= 1 << a
             nodes += 1
             if nodes & 1023 == 0 and monotonic() > deadline:
                 raise SearchTimeout(nodes)
-            deficit = target - a * a
-            lo1 = isqrt(deficit - 1) + 1 if deficit > 0 else 1
-            last = ((1 << a) - (1 << lo1)) & ~(h | z >> (off - a) | h >> a)
-            if last:
+            b = (((1 << a) - 1) & ~(h | z >> (off - a) | h >> a)).bit_length() - 1
+            if b >= 1 and a * a + b * b >= target:
                 nodes += 1
-                return (last.bit_length() - 1, a)
+                return (b, a)
         return None
 
     tail = down(difference_mask((x,), off), x - 1, n - 1, x * x, down)
@@ -238,10 +217,10 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
 
 
 def _es_start(n: int) -> int:
-    """The largest of the table-free lower bounds on ES(n): counting,
-    Erdos-Moser, and C(n, floor(n/2)) (Dubroff, Fox & Xu, SIAM J. Discrete
-    Math. 35, 2021)."""
-    return max(erdos_counting_lb(n), erdos_moser_lb(n), comb(n, n // 2))
+    """C(n, floor(n/2)), a table-free lower bound on ES(n) (Dubroff, Fox &
+    Xu, SIAM J. Discrete Math. 35, 2021).  For n <= 62 it is at least the
+    counting and Erdos-Moser bounds."""
+    return comb(n, n // 2)
 
 
 def es(n: int, budget_s: float = 60.0) -> EsRecord:

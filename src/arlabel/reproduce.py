@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .check import Labeling, is_ar_labeling
-from .dss import enumerate_dss_sets
+from .dss import DssSet, enumerate_dss_sets
 from .errors import SearchTimeout
 from .es import KNOWN_ES, EsRecord, es
 from .graphs import (
@@ -157,6 +157,13 @@ def _wheel(n: int, deadline: float) -> Labeling:
         raise _Expired(f"W_{n}") from None
 
 
+def _cover(m: int, n: int, deadline: float) -> list[DssSet] | None:
+    try:
+        return disjoint_dss_cover(m, n, deadline)
+    except SearchTimeout:
+        raise _Expired(f"({m},{n})") from None
+
+
 def _run_es_small(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     witnesses = artifact["witnesses"] = {}
     values = []
@@ -259,7 +266,7 @@ def _run_cover_none(
 ) -> tuple[str, bool | None]:
     parts = []
     for m, n in pairs:
-        cover = disjoint_dss_cover(m, n)
+        cover = _cover(m, n, deadline)
         artifact[f"{m}x{n}"] = [list(s.elements) for s in cover] if cover else "no cover"
         parts.append(f"({m},{n}) cover {'found' if cover else 'none'}")
     return ("; ".join(parts), all(v == "no cover" for v in artifact.values()))
@@ -270,7 +277,7 @@ def _run_cover_exists(
 ) -> tuple[str, bool | None]:
     parts = []
     for m, n in pairs:
-        cover = disjoint_dss_cover(m, n)
+        cover = _cover(m, n, deadline)
         if cover:
             artifact[f"{m}x{n}"] = [list(s.elements) for s in cover]
         parts.append(f"({m},{n}) {'found' if cover else 'none'}")

@@ -41,6 +41,7 @@ exhausted search is a refutation certificate for that label budget.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -474,7 +475,7 @@ def ari(g: Graph, cfg: SearchConfig | None = None) -> AriResult:
         k += 1
 
 
-def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
+def disjoint_dss_cover(m: int, n: int, deadline: float = math.inf) -> list[DssSet] | None:
     """m pairwise-disjoint n-element DSS subsets of {1..m*n}, or None.
 
     This is the necessary condition for K_{m,n} (m <= n, small side of degree
@@ -484,6 +485,9 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
     element next.  So it only needs the sets whose smallest element is that
     one: they are listed when the walk first reaches it, and kept for the
     rest of the call.
+
+    Raises SearchTimeout once ``deadline``, a ``time.monotonic()`` reading,
+    has passed.  The clock is read at every node of the walk.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -509,6 +513,8 @@ def disjoint_dss_cover(m: int, n: int) -> list[DssSet] | None:
     def cover(used_mask: int, cover) -> bool:
         if len(chosen) == m:
             return True
+        if time.monotonic() > deadline:
+            raise SearchTimeout
         free = full & ~used_mask
         for cand_mask, ds in with_min((free & -free).bit_length() - 1):
             if cand_mask & used_mask:

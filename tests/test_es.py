@@ -6,7 +6,7 @@ from __future__ import annotations
 import importlib
 import math
 import time
-from itertools import combinations, count
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +19,6 @@ from arlabel.es import (
     STOPPED_BY_MASK_CAP,
     EsRecord,
     _es_start,
-    _square_floor,
     _witness_with_max,
     conway_guy_set,
     conway_guy_u,
@@ -248,26 +247,22 @@ class TestWitnessSoundness:
             assert self._pruned(6, x) == _first_by_brute_force(6, x), x
 
 
-class TestSquareFloor:
-    """The second-moment prune's closed form.  No known witness is tight
-    against the bound, so an off-by-one here would keep every witness."""
+class TestPerCandidateBounds:
+    """The prefix and second-moment bounds, tested on each candidate.  No
+    known witness is tight against the second-moment bound, so an
+    off-by-one in it keeps every witness; the node count of each refuted
+    candidate maximum moves instead."""
 
-    @staticmethod
-    def _scan(rem: int, deficit: int) -> int:
-        return next(a for a in count(0) if rem * a * a - rem * (rem - 1) * a >= deficit)
+    def test_node_counts_per_candidate_maximum_pinned(self):
+        expected = [302, 775, 1_641, 3_365, 5_706, 10_290, 14_949, 24_005, 32_937]
+        for x, nodes in zip(range(35, 44), expected):
+            assert _witness_with_max(7, x, math.inf) == (None, nodes), x
 
-    def test_matches_linear_scan(self):
-        for rem in range(1, 10):
-            for deficit in range(-40, 3_000):
-                assert _square_floor(rem, deficit) == self._scan(rem, deficit), (rem, deficit)
-
-    def test_large_deficits(self):
-        # The deficits ES(8) and beyond reach at the root.
-        for rem in range(1, 10):
-            for deficit in (21_845, 87_381, 10**9, 4**30 // 3):
-                a = _square_floor(rem, deficit)
-                assert rem * a * a - rem * (rem - 1) * a >= deficit
-                assert rem * (a - 1) ** 2 - rem * (rem - 1) * (a - 1) < deficit
+    def test_start_is_the_largest_proved_bound(self):
+        # C(n, n/2) is at least the counting and Erdos-Moser bounds over the
+        # whole supported range, so the search needs neither.
+        for n in range(1, 63):
+            assert _es_start(n) == math.comb(n, n // 2) >= max(erdos_counting_lb(n), erdos_moser_lb(n)), n
 
 
 class TestEsTable:

@@ -14,7 +14,7 @@ from pathlib import Path
 from arlabel.reproduce import MATCH, SKIPPED, _claims, run_reproduction
 
 GOLDEN = Path(__file__).with_name("reproduce_golden.json")
-# es-8 alone takes about 25 s; CI runs it in its own steps.
+# es-8 alone takes about 15 s; CI runs it in its own steps.
 GOLDEN_ROWS = {claim.claim_id for claim in _claims()} - {"es-8"}
 
 
@@ -53,17 +53,30 @@ def test_es_row_decides_the_last_candidate_without_search(slow_clock):
     assert row.artifact["witnesses"][3] == [2, 3, 4]
 
 
+def test_cover_rows_honour_their_budget(slow_clock):
+    # The cover walks read the row's deadline: a 1.5 s budget outlasts one
+    # clock read, not the first walk.
+    report = run_reproduction(
+        only={"bipartite-cover-none", "bipartite-cover-exists"}, budget_override_s=1.5
+    )
+    assert [(r.status, r.computed) for r in report.rows] == [
+        (SKIPPED, "budget expired at (3,5)"),
+        (SKIPPED, "budget expired at (2,2)"),
+    ]
+
+
 def test_only_filter_limits_rows():
     report = run_reproduction(only={"dss-unique-4-within-7"})
     assert [r.claim_id for r in report.rows] == ["dss-unique-4-within-7"]
     assert report.rows[0].status == MATCH
 
 
-def test_budget_expiry_is_skipped_not_mismatch():
-    report = run_reproduction(only={"es-7"}, budget_override_s=0.05)
+def test_budget_expiry_is_skipped_not_mismatch(slow_clock):
+    # The row's budget outlasts one clock read, not the search's first.
+    report = run_reproduction(only={"es-7"}, budget_override_s=1.5)
     (row,) = report.rows
     assert row.status == SKIPPED
-    assert "bound-only" in row.computed
+    assert row.computed == "budget expired at n=7: bound-only interval [35, 44]"
     assert report.ok()  # skipped rows do not fail the report
 
 

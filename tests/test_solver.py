@@ -12,8 +12,9 @@ from itertools import combinations
 import pytest
 
 from arlabel import dss, orbits, solver
-from arlabel.check import is_ar_labeling
+from arlabel.check import Labeling, is_ar_labeling
 from arlabel.dss import difference_mask, enumerate_dss_sets, is_dss
+from arlabel.errors import SearchTimeout
 from arlabel.es import KNOWN_ES, conway_guy_set, es_floor
 from arlabel.graphs import (
     Graph,
@@ -359,6 +360,16 @@ class TestAri:
             out = find_ar_labeling(g, k, SearchConfig(budget_s=120), _require_label_k=True)
             assert out.exhausted and out.labeling is None, k
 
+    def test_k7_witness_at_30(self):
+        # With the refutations above, ARI(K_7) <= 30.  ari(complete(7))
+        # finds this labeling after refuting 29 as well, in about a minute.
+        g = complete(7)
+        labels = (30, 1, 15, 17, 19, 24, 6, 26, 16, 11, 28, 25, 29, 27, 12, 18, 21, 9, 23, 20, 22)
+        assert is_ar_labeling(g, Labeling(labels)).ok
+        assert len(set(labels)) == len(labels) == g.edge_count() and max(labels) == 30
+        for v in range(g.vertex_count):
+            assert naive_is_dss([labels[e] for e in g.incident_edges(v)]), v
+
     def test_brute_force_oracle_agreement_sample(self):
         for g in (path(4), star(4), bistar(2, 2), complete(4), complete_bipartite(2, 3)):
             assert ari(g, FAST).value == naive_ari(g)
@@ -643,6 +654,12 @@ class TestDisjointCover:
         monkeypatch.setattr(solver, "_dss_sets_with_min", recording)
         assert disjoint_dss_cover(4, 6) is None
         assert asked == [1]
+
+    def test_walk_honours_deadline(self, slow_clock):
+        # Every clock read advances the clock one second: the walk's second
+        # node is past a deadline half a second away.
+        with pytest.raises(SearchTimeout):
+            disjoint_dss_cover(3, 5, time.monotonic() + 0.5)
 
     def test_orientation_checked(self):
         with pytest.raises(ValueError):
