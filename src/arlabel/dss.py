@@ -62,8 +62,12 @@ instead of one shift-and-test per label.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .errors import SearchTimeout
 
 # Bit operations of the occupancy scan that cost as much as one signed sum
 # of the meet in the middle.  Timed on passes over the 1,801 sets of the
@@ -283,38 +287,46 @@ def difference_mask(elements: Iterable[int], off: int) -> int:
     return z
 
 
-def enumerate_dss_sets(size: int, cap: int) -> list[DssSet]:
+def enumerate_dss_sets(size: int, cap: int, deadline: float = math.inf) -> list[DssSet]:
     """All size-element DSS subsets of {1..cap}, in lexicographic order:
     the sets with smallest element 1, then 2, and so on
-    (``_dss_sets_with_min``)."""
+    (``_dss_sets_with_min``).  Raises SearchTimeout once ``deadline``, a
+    ``time.monotonic()`` reading, has passed."""
     if size < 1:
         raise ValueError(f"size {size} must be at least 1")
     if size > cap:
         raise ValueError(f"size {size} exceeds cap {cap}")
     results: list[DssSet] = []
     for low in range(1, cap - size + 2):
-        results += _dss_sets_with_min(size, cap, low)
+        results += _dss_sets_with_min(size, cap, low, deadline)
     return results
 
 
-def _dss_sets_with_min(size: int, cap: int, low: int) -> list[DssSet]:
+def _dss_sets_with_min(size: int, cap: int, low: int, deadline: float = math.inf) -> list[DssSet]:
     """The size-element DSS subsets of {1..cap} whose smallest element is
     ``low``, in lexicographic order; 1 <= size <= cap - low + 1.
 
     Depth-first over difference masks (module docstring), lowest label
     first, screening each level's candidates with one AND; the last pick
     takes every legal label at once.  The search only stands on DSS
-    prefixes, so each set it completes is not checked again.
+    prefixes, so each set it completes is not checked again.  A node with
+    two or more labels still to pick counts one; between two counted nodes
+    the search tries at most one node's second-to-last labels and their
+    last picks.  The clock is read every 1,024 counted nodes, and once
+    ``deadline`` has passed SearchTimeout is raised.
     """
     if size == 1:
         return [DssSet._proved((low,))]
     off = size * cap  # no size elements of {1..cap} sum to more
     results: list[DssSet] = []
     chosen = [low]
+    nodes = 0
+    monotonic = time.monotonic
 
     # extend is handed itself rather than closing over its own name, so no
     # reference cycle keeps the results alive after the call.
     def extend(z: int, cand: int, remaining: int, extend) -> None:
+        nonlocal nodes
         cand &= ~(z >> off)
         if remaining == 1:
             prefix = tuple(chosen)
@@ -323,6 +335,9 @@ def _dss_sets_with_min(size: int, cap: int, low: int) -> list[DssSet]:
                 cand ^= bit
                 results.append(DssSet._proved(prefix + (bit.bit_length() - 1,)))
             return
+        nodes += 1
+        if nodes & 1023 == 0 and monotonic() > deadline:
+            raise SearchTimeout
         # The smallest label still to pick leaves remaining - 1 more above it.
         while cand.bit_count() >= remaining:
             bit = cand & -cand

@@ -159,10 +159,12 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
         (4^n - 1)/3, and the rem elements still to pick add at most
         sum_{i<rem} (a - i)^2 = rem*a^2 - rem*(rem-1)*a + sum_{i<rem} i^2.
     Each cuts only subtrees that hold no DSS set, so the first witness is
-    the one plain enumeration in this order finds.  Each element tried
-    counts one node.  On timeout raises SearchTimeout(nodes), and before a
-    difference mask wider than ``_MAX_MASK_BITS`` would be built it raises
-    _MaskCapReached: x is then left undecided.
+    the one plain enumeration in this order finds.  The last three picks
+    run in one loop nest, with no call per candidate below the fourth to
+    last (for n = 3, whose x is its third to last, the last two).  Each
+    element tried counts one node.  On timeout raises SearchTimeout(nodes),
+    and before a difference mask wider than ``_MAX_MASK_BITS`` would be
+    built it raises _MaskCapReached: x is then left undecided.
     """
     squares = ((1 << 2 * n) - 1) // 3
     off = n * x  # no n distinct elements of {1..x} sum to more
@@ -179,7 +181,7 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
         deficit = squares - sq - (rem - 1) * rem * (2 * rem - 1) // 6
         h = z >> off
         cand = ((2 << hi) - 1) & ~h
-        if rem > 2:
+        if rem > 3:
             while cand:
                 a = cand.bit_length() - 1
                 if a < rem or rem * a * (a - rem + 1) < deficit:
@@ -192,12 +194,42 @@ def _witness_with_max(n: int, x: int, deadline: float) -> tuple[tuple[int, ...] 
                 if rest is not None:
                     return rest + (a,)
             return None
-        # The last two picks in one loop, with no call per candidate.  The
-        # last element b is the largest label below a left legal after a:
-        # the clear bits of (z | z << a | z >> a) >> off, computed here from
-        # h without the shifts of z that do not reach them.  The largest b
-        # adds the most to the squares, so a smaller one cannot reach them.
         target = squares - sq
+        if rem == 3:
+            # The last three picks in one loop nest: each third-to-last
+            # element c builds its mask y and runs the last-pair loop below
+            # on it inline.
+            while cand:
+                c = cand.bit_length() - 1
+                if c < 3 or 3 * c * (c - 2) < deficit:
+                    return None
+                cand ^= 1 << c
+                nodes += 1
+                if nodes & 1023 == 0 and monotonic() > deadline:
+                    raise SearchTimeout(nodes)
+                y = z | z << c | z >> c
+                g = y >> off
+                pairs = ((1 << c) - 1) & ~g
+                left = target - c * c  # the pair's target; its deficit is left - 1
+                while pairs:
+                    a = pairs.bit_length() - 1
+                    if a < 2 or 2 * a * (a - 1) < left - 1:
+                        break
+                    pairs ^= 1 << a
+                    nodes += 1
+                    if nodes & 1023 == 0 and monotonic() > deadline:
+                        raise SearchTimeout(nodes)
+                    b = (((1 << a) - 1) & ~(g | y >> (off - a) | g >> a)).bit_length() - 1
+                    if b >= 1 and a * a + b * b >= left:
+                        nodes += 1
+                        return (b, a, c)
+            return None
+        # The last two picks in one loop, a call of its own only for n = 3,
+        # whose x is its third-to-last pick.  The last element b is the
+        # largest label below a left legal after a: the clear bits of
+        # (z | z << a | z >> a) >> off, computed here from h without the
+        # shifts of z that do not reach them.  The largest b adds the most
+        # to the squares, so a smaller one cannot reach them.
         while cand:
             a = cand.bit_length() - 1
             if a < 2 or 2 * a * (a - 1) < deficit:

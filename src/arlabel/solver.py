@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields
 from .check import Labeling, is_ar_labeling
 from .dss import DssSet, _dss_sets_with_min
 from .errors import SearchTimeout
-from .es import conway_guy_set, conway_guy_u, es_floor
+from .es import _es_start, conway_guy_set, conway_guy_u, es, es_floor
 from .graphs import Graph, wheel
 
 EXACT = "exact"
@@ -486,14 +486,29 @@ def disjoint_dss_cover(m: int, n: int, deadline: float = math.inf) -> list[DssSe
     one: they are listed when the walk first reaches it, and kept for the
     rest of the call.
 
+    Each of the sets still to choose has its own largest element, at least
+    ES(n).  So a node ends when fewer free elements reach a floor on ES(n)
+    than sets remain.  The floor is C(n, n/2) (``_es_start``) when that
+    already exceeds m*n, which ends the walk at its root for every n >= 8;
+    otherwise it is the ``lower`` of ``es(n)`` run under the walk's
+    deadline, a valid floor even when the record is bound-only.  No table
+    of known values is read.
+
     Raises SearchTimeout once ``deadline``, a ``time.monotonic()`` reading,
-    has passed.  The clock is read at every node of the walk.
+    has passed.  The clock is read before ``es(n)`` runs, at every node of
+    the walk, and every 1,024 nodes of each listing.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if m > n:
         raise ValueError(f"expected m <= n, got ({m}, {n})")
     ground = m * n
+    if _es_start(n) > ground:
+        return None
+    budget = deadline - time.monotonic()
+    if budget <= 0:
+        raise SearchTimeout
+    top = es(n, budget).lower  # each chosen set's largest element is >= top
     full = (1 << (ground + 1)) - 2  # elements 1..ground
     by_min: dict[int, list[tuple[int, DssSet]]] = {}
 
@@ -502,7 +517,7 @@ def disjoint_dss_cover(m: int, n: int, deadline: float = math.inf) -> list[DssSe
         # At least n elements are free, so low <= ground - n + 1.
         found = by_min.get(low)
         if found is None:
-            sets = _dss_sets_with_min(n, ground, low)
+            sets = _dss_sets_with_min(n, ground, low, deadline)
             found = by_min[low] = [(sum(1 << a for a in ds), ds) for ds in sets]
         return found
 
@@ -516,6 +531,8 @@ def disjoint_dss_cover(m: int, n: int, deadline: float = math.inf) -> list[DssSe
         if time.monotonic() > deadline:
             raise SearchTimeout
         free = full & ~used_mask
+        if (free >> top).bit_count() < m - len(chosen):
+            return False
         for cand_mask, ds in with_min((free & -free).bit_length() - 1):
             if cand_mask & used_mask:
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from arlabel.dss import (
     is_dss,
     subset_sum_collision,
 )
+from arlabel.errors import SearchTimeout
 from conftest import naive_collision, naive_is_dss
 
 
@@ -222,6 +224,16 @@ class TestEnumerate:
                 ]
                 assert all(s.elements[0] == low for low, sets in enumerate(by_min, 1) for s in sets)
                 assert enumerate_dss_sets(size, cap) == [s for sets in by_min for s in sets]
+
+    def test_listing_honours_deadline(self, slow_clock):
+        # Every clock read advances the clock one second.  A listing reads
+        # it once per 1,024 nodes: (4, 7) takes fewer and ends past its
+        # deadline unread, (6, 36) takes more and stops at the first read.
+        assert len(enumerate_dss_sets(4, 7, time.monotonic() + 0.5)) == 1
+        with pytest.raises(SearchTimeout):
+            enumerate_dss_sets(6, 36, time.monotonic() + 0.5)
+        with pytest.raises(SearchTimeout):
+            dss._dss_sets_with_min(6, 36, 1, time.monotonic() + 0.5)
 
     def test_size_above_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from pathlib import Path
 from arlabel.reproduce import MATCH, SKIPPED, _claims, run_reproduction
 
 GOLDEN = Path(__file__).with_name("reproduce_golden.json")
-# es-8 alone takes about 15 s; CI runs it in its own steps.
+# es-8 alone takes about 14 s; CI runs it in the heavy report step.
 GOLDEN_ROWS = {claim.claim_id for claim in _claims()} - {"es-8"}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import random
@@ -640,26 +641,82 @@ class TestDisjointCover:
                 assert got == reference(m, n), (m, n)
 
     def test_candidates_listed_by_minimum_on_demand(self, monkeypatch):
-        # No DSS 6-subset of {1..24} holds 1 (ES(6) = 24 has one witness,
-        # which starts at 11), so the (4,6) walk stops at element 1 and
-        # lists no other candidates.
+        # The (5,6) walk lists the sets with minimum 1, 3, 4, 5 and 2 as it
+        # first reaches each, and no others: the ES(6) = 24 count cut ends
+        # the nodes that would reach 6 and 7 first.  Each listing gets the
+        # walk's deadline.
         asked = []
         listing = dss._dss_sets_with_min
 
-        def recording(size, cap, low):
-            asked.append(low)
-            return listing(size, cap, low)
+        def recording(size, cap, low, deadline):
+            asked.append((low, deadline))
+            return listing(size, cap, low, deadline)
 
         monkeypatch.setattr(dss, "_dss_sets_with_min", recording)
         monkeypatch.setattr(solver, "_dss_sets_with_min", recording)
+        deadline = time.monotonic() + 600
+        assert disjoint_dss_cover(5, 6, deadline) is None
+        assert asked == [(low, deadline) for low in (1, 3, 4, 5, 2)]
+
+    def test_count_cut_refutes_4_6_at_the_root(self, monkeypatch):
+        # Only element 24 of {1..24} reaches ES(6) = 24, and four sets each
+        # need their own largest element there: nothing is listed.
+        asked = []
+        monkeypatch.setattr(solver, "_dss_sets_with_min", lambda *args: asked.append(args))
         assert disjoint_dss_cover(4, 6) is None
-        assert asked == [1]
+        assert asked == []
+
+    def test_start_refutes_every_n_from_eight(self, monkeypatch):
+        # C(n, n/2) > n*n >= m*n for n >= 8: no DSS n-subset of {1..m*n}
+        # exists, with no listing and no ES search.
+        def fail(*args):
+            raise AssertionError(f"called with {args}")
+
+        monkeypatch.setattr(solver, "_dss_sets_with_min", fail)
+        monkeypatch.setattr(solver, "es", fail)
+        for n in (8, 9):
+            for m in range(1, n + 1):
+                assert disjoint_dss_cover(m, n) is None, (m, n)
+
+    def test_answers_need_no_table(self, monkeypatch):
+        # The floor comes from es(n) run afresh, not from the published
+        # values: with the table gone every answer stays the same.
+        expected = {(m, n): disjoint_dss_cover(m, n) for n in range(1, 7) for m in range(1, n + 1)}
+
+        def no_table(j: int) -> int:
+            raise AssertionError(f"es_floor({j}) read")
+
+        # The package's ``es`` function shadows the module of the same name.
+        module = importlib.import_module("arlabel.es")
+        monkeypatch.setattr(module, "KNOWN_ES", {})
+        monkeypatch.setattr(module, "es_floor", no_table)
+        monkeypatch.setattr(solver, "es_floor", no_table)
+        for (m, n), cover in expected.items():
+            assert disjoint_dss_cover(m, n) == cover, (m, n)
 
     def test_walk_honours_deadline(self, slow_clock):
-        # Every clock read advances the clock one second: the walk's second
-        # node is past a deadline half a second away.
+        # Every clock read advances the clock one second: the read before
+        # the ES(5) floor is already past a deadline half a second away.
         with pytest.raises(SearchTimeout):
             disjoint_dss_cover(3, 5, time.monotonic() + 0.5)
+
+    def test_floor_runs_within_the_deadline(self, monkeypatch, slow_clock):
+        # A deadline passed before the floor raises without an ES search;
+        # one still ahead hands es the time that is left, never a
+        # non-positive budget, and the walk stops at its next read.
+        budgets = []
+        floor = solver.es
+
+        def recording(n, budget_s):
+            budgets.append(budget_s)
+            return floor(n, budget_s)
+
+        monkeypatch.setattr(solver, "es", recording)
+        for ahead in (0.5, 1.5, 2.5, 3.5):
+            with pytest.raises(SearchTimeout):
+                disjoint_dss_cover(3, 5, time.monotonic() + ahead)
+        assert budgets and all(b > 0 for b in budgets)
+        assert len(budgets) == 3
 
     def test_orientation_checked(self):
         with pytest.raises(ValueError):
