@@ -164,6 +164,13 @@ def _cover(m: int, n: int, deadline: float) -> list[DssSet] | None:
         raise _Expired(f"({m},{n})") from None
 
 
+def _dss_sets(size: int, cap: int, deadline: float) -> list[DssSet]:
+    try:
+        return enumerate_dss_sets(size, cap, deadline)
+    except SearchTimeout:
+        raise _Expired(f"{size}-element DSS sets within {{1..{cap}}}") from None
+
+
 def _run_es_small(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     witnesses = artifact["witnesses"] = {}
     values = []
@@ -182,7 +189,7 @@ def _run_es_exact(deadline: float, artifact: dict, *, n: int) -> tuple[str, bool
 
 
 def _run_enum_unique(deadline: float, artifact: dict) -> tuple[str, bool | None]:
-    sets = enumerate_dss_sets(4, 7)
+    sets = _dss_sets(4, 7, deadline)
     artifact["sets"] = [list(s.elements) for s in sets]
     ok = len(sets) == 1 and sets[0].elements == (3, 5, 6, 7)
     return (
@@ -192,15 +199,15 @@ def _run_enum_unique(deadline: float, artifact: dict) -> tuple[str, bool | None]
     )
 
 
-def _five_within_13() -> tuple[list[list[int]], list[int]]:
+def _five_within_13(deadline: float) -> tuple[list[list[int]], list[int]]:
     """The five-element DSS sets within {1..13}, and the elements all of
     them share."""
-    sets = [list(s.elements) for s in enumerate_dss_sets(5, 13)]
+    sets = [list(s.elements) for s in _dss_sets(5, 13, deadline)]
     return sets, sorted(set.intersection(*map(set, sets)))
 
 
 def _run_enum_pair(deadline: float, artifact: dict) -> tuple[str, bool | None]:
-    sets, shared = _five_within_13()
+    sets, shared = _five_within_13(deadline)
     artifact.update(sets=sets, shared=shared)
     return (
         f"{len(sets)} five-element DSS sets within {{1..13}}, {len(shared)} shared elements",
@@ -251,7 +258,7 @@ def _run_complete_six_ingredients(deadline: float, artifact: dict) -> tuple[str,
     # facts plus the counting screen (which alone does not refute budget
     # 15, showing the deeper argument is needed).  When they hold the row
     # is skipped, not matched: they do not decide K_6.
-    sets, shared = _five_within_13()
+    sets, shared = _five_within_13(deadline)
     survives = counting_prune(complete(6), 15)
     artifact.update(five_element_sets_max13=sets, shared=shared, counting_survives_15=survives)
     computed = (

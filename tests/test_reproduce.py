@@ -9,8 +9,11 @@ must regenerate it and say so: ``PYTHONPATH=src python tests/test_reproduce.py``
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
+from arlabel import reproduce
+from arlabel.errors import SearchTimeout
 from arlabel.reproduce import MATCH, SKIPPED, _claims, run_reproduction
 
 GOLDEN = Path(__file__).with_name("reproduce_golden.json")
@@ -63,6 +66,29 @@ def test_cover_rows_honour_their_budget(slow_clock):
         (SKIPPED, "budget expired at (3,5)"),
         (SKIPPED, "budget expired at (2,2)"),
     ]
+
+
+def test_enumeration_rows_honour_their_budget(monkeypatch):
+    # The 4/7 and 5/13 listings finish before their first clock read, so
+    # the row's deadline is checked where it is handed over: each listing
+    # receives it, and a listing's timeout skips the row.
+    seen = []
+
+    def expiring(size, cap, deadline):
+        seen.append((size, cap, deadline))
+        raise SearchTimeout
+
+    monkeypatch.setattr(reproduce, "enumerate_dss_sets", expiring)
+    report = run_reproduction(
+        only={"dss-unique-4-within-7", "dss-two-5-within-13", "complete-6-ingredients"}
+    )
+    assert [(r.status, r.computed) for r in report.rows] == [
+        (SKIPPED, "budget expired at 4-element DSS sets within {1..7}"),
+        (SKIPPED, "budget expired at 5-element DSS sets within {1..13}"),
+        (SKIPPED, "budget expired at 5-element DSS sets within {1..13}"),
+    ]
+    assert [s[:2] for s in seen] == [(4, 7), (5, 13), (5, 13)]
+    assert all(0 < d - time.monotonic() < 200 for *_, d in seen)
 
 
 def test_only_filter_limits_rows():
