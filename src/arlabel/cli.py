@@ -46,7 +46,7 @@ def parse_duration(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}") from None
-    if value <= 0:
+    if not value > 0:
         raise argparse.ArgumentTypeError("duration must be positive")
     return value * unit
 

@@ -266,7 +266,7 @@ def es(n: int, budget_s: float = 60.0) -> EsRecord:
     run of candidates that take few nodes each still stops on time.
     """
     _check_n(n)
-    if budget_s <= 0:
+    if not budget_s > 0:
         raise ValueError("budget must be positive")
     deadline = time.monotonic() + budget_s
     hi = conway_guy_u(n)

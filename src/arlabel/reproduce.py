@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .check import Labeling, is_ar_labeling
+from .check import is_ar_labeling
 from .dss import DssSet, enumerate_dss_sets
 from .errors import SearchTimeout
 from .es import KNOWN_ES, EsRecord, es
@@ -150,13 +150,6 @@ def _ari(g: Graph, deadline: float) -> AriResult:
     return res
 
 
-def _wheel(n: int, deadline: float) -> Labeling:
-    try:
-        return label_wheel(n, _budget(deadline, f"W_{n}"))
-    except SearchTimeout:
-        raise _Expired(f"W_{n}") from None
-
-
 def _cover(m: int, n: int, deadline: float) -> list[DssSet] | None:
     try:
         return disjoint_dss_cover(m, n, deadline)
@@ -222,9 +215,9 @@ def _run_star_ari(deadline: float, artifact: dict) -> tuple[str, bool | None]:
         res = _ari(star(n), deadline)
         values[n] = res.value
         witnesses[n] = list(res.witness.labels)
-    not_ar = {n: _ar_search(star(n), deadline).labeling is not None for n in (3, 4, 5)}
-    artifact["is_ar_3_4_5"] = not_ar
-    ok = values == {n: KNOWN_ES[n] for n in range(1, 6)} and not any(not_ar.values())
+    # K_{1,n} has n edges, so it is an AR-graph exactly when ARI(K_{1,n}) = n.
+    is_ar = artifact["is_ar_3_4_5"] = {n: values[n] == n for n in (3, 4, 5)}
+    ok = values == {n: KNOWN_ES[n] for n in range(1, 6)} and not any(is_ar.values())
     computed = ", ".join(f"ARI(K_{{1,{n}}})={values[n]}" for n in range(1, 6))
     return (computed + "; none of n=3..5 is an AR-graph", ok)
 
@@ -324,7 +317,7 @@ def _run_wheel_labelings(deadline: float, artifact: dict) -> tuple[str, bool | N
     parts = []
     ok = True
     for n in range(6, 11):
-        labeling = _wheel(n, deadline)
+        labeling = label_wheel(n)
         top = max(labeling.labels)
         artifact[f"W{n}"] = {"labels": list(labeling.labels), "max": top}
         parts.append(f"W_{n} max={top}")
@@ -338,7 +331,7 @@ def _run_wheel_ari(deadline: float, artifact: dict) -> tuple[str, bool | None]:
     parts = []
     ok = True
     for n in range(6, 11):
-        top = max(_wheel(n, deadline).labels)
+        top = max(label_wheel(n).labels)
         lb = ari_lower_bound(wheel(n))
         artifact[f"W{n}"] = {"lower_bound": lb, "witness_max": top}
         parts.append(f"ARI(W_{n})={top}")

@@ -1,6 +1,6 @@
 """Exact AR-index search: branch-and-bound labeling, counting prunes, and the
-special-purpose constructions (bipartite disjoint covers, wheel labelings as
-the search with the spokes fixed).
+special-purpose constructions (bipartite disjoint covers, and the wheel
+labelings built from the Conway-Guy set).
 
 The decision core is the edge kernel, ``_search``: backtracking over edges
 ordered by decreasing endpoint-degree sum, trying labels in ascending
@@ -17,18 +17,18 @@ when the run returns.  Both cuts remove only subtrees without a labeling.
 The twin order is the kernel's third cut.  Vertices u and v are twins when
 N(u) - {v} == N(v) - {u} and they share a neighbour (``orbits.twin_pairs``);
 the swap of u and v is then an automorphism.  For each swap that leaves
-every fixed or pinned edge in place, the first edge it moves in search
-order, at step p, must carry a smaller label than its image, at step q > p.
-So at step q the candidates lose every label up to the largest one placed
+the pinned edge in place, the first edge it moves in search order, at
+step p, must carry a smaller label than its image, at step q > p.  So at
+step q the candidates lose every label up to the largest one placed
 at such a p, with one AND per node.  This is the lex-leader constraint
 (Crawford, Ginsberg, Luks & Roy, KR 1996) for the swap: labels are
 distinct, so a labeling and its image under an automorphism first differ
 at the first edge it moves.  It keeps the first witness: without the cut,
 a run's first witness is the lex-least labeling (in search order) that
-carries the fixed labels, the one a plain 1..k scan would find.  Every
-automorphism that fixes the fixed edges maps it to another such labeling,
-no smaller, so it meets every constraint, and the cut search finds it
-first.  Only the counts of a run change.
+carries the pin, the one a plain 1..k scan would find.  Every automorphism
+that fixes the pinned edge maps it to another such labeling, no smaller,
+so it meets every constraint, and the cut search finds it first.  Only
+the counts of a run change.
 
 ``find_ar_labeling`` runs the kernel once, or, when label k must be used,
 once per edge orbit of the graph's automorphism group with k pinned to the
@@ -69,7 +69,7 @@ class SearchConfig:
     budget_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.budget_s <= 0:
+        if not self.budget_s > 0:
             raise ValueError("budget must be positive")
 
 
@@ -216,7 +216,6 @@ def find_ar_labeling(
     k: int,
     cfg: SearchConfig | None = None,
     *,
-    fixed: dict[int, int] | None = None,
     _require_label_k: bool = False,
 ) -> SearchOutcome:
     """Search for an AR-labeling of g with distinct labels from {1..k}.
@@ -225,14 +224,9 @@ def find_ar_labeling(
     exhausted refutation, or a timeout (``exhausted`` False).  k smaller than
     the edge count is immediately infeasible (injectivity), not an error.
 
-    ``fixed`` maps edge indices to labels every witness must carry; the
-    search completes the other edges around them.  An edge index out of
-    range, a label outside 1..k or a repeated label raises ValueError; fixed
-    labels that already break DSS at some vertex give an exhausted refutation.
-
-    When some edge must carry label k and nothing is fixed, the kernel runs
-    once per edge orbit of Aut(g) (``orbits.edge_orbits``), with k on the
-    orbit's first edge in search order, orbits in the order of those edges.
+    When some edge must carry label k, the kernel runs once per edge orbit
+    of Aut(g) (``orbits.edge_orbits``), with k on the orbit's first edge in
+    search order, orbits in the order of those edges.
     An automorphism maps a labeling with k on any edge of the orbit to one
     with k on that edge, so the runs together miss no labeling.  Label k
     must be used when k == m (the labels are then 1..m) or when the caller
@@ -244,14 +238,6 @@ def find_ar_labeling(
     if k < 1:
         raise ValueError("k must be positive")
     m = g.edge_count()
-    fixed = fixed or {}
-    for e, lab in fixed.items():
-        if not 0 <= e < m:
-            raise ValueError(f"fixed edge index {e} is out of range for {m} edges")
-        if not 1 <= lab <= k:
-            raise ValueError(f"fixed label {lab} on edge {e} is outside 1..{k}")
-    if len(set(fixed.values())) != len(fixed):
-        raise ValueError("fixed labels repeat a label")
     stats = SearchStats()
     if m == 0:
         return SearchOutcome(Labeling(()), True, stats)
@@ -264,10 +250,10 @@ def find_ar_labeling(
         return SearchOutcome(None, True, stats)
 
     deadline = time.monotonic() + cfg.budget_s
-    pins = [fixed]
+    pins: list[int | None] = [None]
     labels = None
     try:
-        if not fixed and (_require_label_k or k == m):
+        if _require_label_k or k == m:
             # Imported here: only this search needs it, so other commands
             # do not load it at start-up.
             from .orbits import edge_orbits
@@ -276,7 +262,7 @@ def find_ar_labeling(
             firsts: dict[int, int] = {}
             for e in _search_order(g):
                 firsts.setdefault(orbits[e], e)
-            pins = [{e: k} for e in firsts.values()]
+            pins = list(firsts.values())
         for pin in pins:
             labels = _search(g, k, pin, stats, deadline)
             if labels is not None:
@@ -321,16 +307,17 @@ def _twin_order(g: Graph, free_edges: list[int]) -> list[list[int]]:
 
 
 def _search(
-    g: Graph, k: int, fixed: dict[int, int], stats: SearchStats, deadline: float
+    g: Graph, k: int, pin: int | None, stats: SearchStats, deadline: float
 ) -> list[int] | None:
-    """The edge kernel: the first labeling of g from {1..k} that carries
-    ``fixed``, under the search order, or None when there is none.
+    """The edge kernel: the first labeling of g from {1..k}, with label k on
+    edge ``pin`` unless it is None, under the search order, or None when
+    there is none.
 
     Adds its counts to ``stats`` and raises SearchTimeout once ``deadline``
     has passed.  ``find_ar_labeling`` checks the arguments, applies the
-    counting prune and pins label k by orbit; this function does none of
+    counting prune and chooses the pin by orbit; this function does none of
     that.  It finds the twins of g itself and applies the twin order
-    (module docstring) to the swaps that move no edge of ``fixed``.
+    (module docstring) to the swaps that leave ``pin`` in place.
     """
     order = _search_order(g)
     # Difference masks (see the dss module docstring): off covers the
@@ -338,16 +325,14 @@ def _search(
     off = k * g.max_degree()
     z = [1 << off] * g.vertex_count
     used = 0
-    for e, lab in fixed.items():
-        u, v = g.edges[e]
-        if (z[u] | z[v]) >> (off + lab) & 1:
-            return None
-        z[u] |= z[u] << lab | z[u] >> lab
-        z[v] |= z[v] << lab | z[v] >> lab
-        used |= 1 << lab
+    if pin is not None:
+        # One label is DSS alone: the pin breaks no vertex.
+        for w in g.edges[pin]:
+            z[w] |= z[w] << k | z[w] >> k
+        used = 1 << k
     full = (1 << (k + 1)) - 2  # labels 1..k
 
-    free_edges = [e for e in order if e not in fixed]
+    free_edges = [e for e in order if e != pin]
     depth = len(free_edges)
     below = _twin_order(g, free_edges)
     # One step per free edge: its endpoints, how many free edges each
@@ -436,9 +421,7 @@ def _search(
 
     if not dfs(0, used, dfs):
         return None
-    labels = [0] * g.edge_count()
-    for e, lab in fixed.items():
-        labels[e] = lab
+    labels = [k] * g.edge_count()  # every edge but the pin is overwritten
     for e, lab in zip(free_edges, assigned):
         labels[e] = lab
     return labels
@@ -545,27 +528,26 @@ def disjoint_dss_cover(m: int, n: int, deadline: float = math.inf) -> list[DssSe
     return chosen if cover(0, cover) else None
 
 
-def label_wheel(n: int, cfg: SearchConfig | None = None) -> Labeling:
+def label_wheel(n: int) -> Labeling:
     """A verified AR-labeling of W_n with maximum label exactly ES(n-1).
 
     The spokes carry the Conway-Guy set for n-1, whose maximum u(n-1) is
-    ES(n-1) for 6 <= n <= 10; other n raise ValueError.  The edge kernel
-    completes the rim around them (``find_ar_labeling`` with the spokes
-    fixed).  It tries the lowest label first, so each rim edge gets the
-    smallest unused label after which both endpoints can still complete to
-    DSS sets, and it backtracks only when no such label is left.  W_6..W_10
-    take one node per rim edge, without backtracking.
+    ES(n-1) for 6 <= n <= 10; other n raise ValueError.  The rim edges
+    carry 1..n-1 in index order.  No search runs; the labeling is
+    re-verified (``is_ar_labeling``).
     """
-    cfg = cfg or SearchConfig()
     if not 6 <= n <= 10:
         raise ValueError(f"wheel labeling construction needs 6 <= n <= 10, got {n}")
-    spokes = conway_guy_set(n - 1)
     g = wheel(n)
-    # The hub's edges, in index order, go to rim vertices 1..n-1.
-    fixed = dict(zip(g.incident_edges(0), spokes))
-    outcome = find_ar_labeling(g, spokes.largest, cfg, fixed=fixed)
-    if outcome.labeling is None:
-        if outcome.exhausted:  # pragma: no cover - every rim tried completes
-            raise RuntimeError(f"internal: no rim of W_{n} completes the spokes {spokes.elements}")
-        raise SearchTimeout(f"wheel W_{n} rim search did not finish in budget")
-    return outcome.labeling
+    spokes = g.incident_edges(0)
+    labels = [0] * g.edge_count()
+    for e, lab in zip(spokes, conway_guy_set(n - 1)):
+        labels[e] = lab
+    rim = [e for e in range(g.edge_count()) if e not in spokes]
+    for lab, e in enumerate(rim, 1):
+        labels[e] = lab
+    labeling = Labeling(tuple(labels))
+    verdict = is_ar_labeling(g, labeling)
+    if not verdict.ok:  # pragma: no cover - construction invariant
+        raise RuntimeError(f"internal: W_{n} construction is not AR: {verdict.describe()}")
+    return labeling

@@ -237,7 +237,7 @@ class TestCriterion9Wheels:
     def test_wheel_labelings_and_exact_index(self):
         t0 = time.perf_counter()
         for n in range(6, 11):
-            labeling = label_wheel(n, SearchConfig(budget_s=300))
+            labeling = label_wheel(n)
             assert is_ar_labeling(wheel(n), labeling).ok
             assert max(labeling.labels) == KNOWN_ES[n - 1]
             # the degree bound meets the witness, pinning the index exactly

@@ -33,6 +33,9 @@ class TestDurations:
             parse_duration("fast")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_duration("-3s")
+        for text in ("nan", "nans"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_duration(text)
 
 
 class TestEsCommand:
@@ -74,6 +77,13 @@ class TestEsCommand:
     def test_bad_n_is_input_error(self, capsys):
         code, _ = run(capsys, "es", "0")
         assert code == 2
+
+    def test_nan_budget_is_input_error(self):
+        # A NaN budget never expires; it is refused like any bad duration.
+        # ES(3) keeps the run short should it be accepted.
+        with pytest.raises(SystemExit) as stop:
+            main(["es", "3", "--budget", "nan"])
+        assert stop.value.code == 2
 
     def test_output_file_receives_machine_record(self, capsys, tmp_path):
         out_file = tmp_path / "es4.json"

@@ -193,8 +193,10 @@ class TestEsSearch:
         assert rec.stopped_by == STOPPED_BY_BUDGET
 
     def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            es(3, budget_s=0)
+        # A NaN budget would never expire: no clock reading exceeds it.
+        for budget in (0, float("nan")):
+            with pytest.raises(ValueError):
+                es(3, budget_s=budget)
 
     def test_start_needs_no_table(self):
         # The search starts at a proved bound, C(n, n/2) from n = 4 on

@@ -56,7 +56,7 @@ def unpinned(g, k, stats=None):
     """The edge kernel run once, with no label pinned: its first labeling
     of g from {1..k} (or None) and its stats."""
     stats = stats or SearchStats()
-    return solver._search(g, k, {}, stats, math.inf), stats
+    return solver._search(g, k, None, stats, math.inf), stats
 
 
 def _sizes(stats):
@@ -275,27 +275,6 @@ class TestCanComplete:
         assert stats.probes > 0
 
 
-class TestFixedLabels:
-    def test_fixed_labels_kept_in_witness(self):
-        g = bistar(3, 3)
-        out = find_ar_labeling(g, 8, FAST, fixed={0: 8, 3: 1})
-        assert out.labeling is not None
-        assert out.labeling.labels[0] == 8 and out.labeling.labels[3] == 1
-        assert is_ar_labeling(g, out.labeling).ok
-
-    def test_fixed_labels_breaking_dss_refute(self):
-        # 1 + 2 = 3 at the center of the star
-        out = find_ar_labeling(star(4), 13, FAST, fixed={0: 1, 1: 2, 2: 3})
-        assert out.labeling is None and out.exhausted
-        assert out.stats.nodes == 0
-
-    def test_bad_fixed_rejected(self):
-        g = path(4)
-        for fixed in ({3: 1}, {-1: 1}, {0: 0}, {0: 5}, {0: 2, 2: 2}):
-            with pytest.raises(ValueError):
-                find_ar_labeling(g, 4, FAST, fixed=fixed)
-
-
 class TestAri:
     def test_stars_match_es(self):
         for n in range(1, 6):
@@ -411,9 +390,9 @@ class TestOrbitPin:
         runs = []
         kernel = solver._search
 
-        def recording(g, k, fixed, stats, deadline):
-            runs.append(dict(fixed))
-            return kernel(g, k, fixed, stats, deadline)
+        def recording(g, k, pin, stats, deadline):
+            runs.append(pin)
+            return kernel(g, k, pin, stats, deadline)
 
         monkeypatch.setattr(solver, "_search", recording)
         # Two orbits: the central edge and the six pendant edges.  k == m
@@ -423,13 +402,12 @@ class TestOrbitPin:
         order = solver._search_order(g)
         out = find_ar_labeling(g, 7, FAST)
         assert out.labeling is None and out.exhausted
-        assert runs == [{order[0]: 7}, {order[1]: 7}]
+        assert runs == [order[0], order[1]]
         assert orbits.edge_orbits(g)[order[0]] != orbits.edge_orbits(g)[order[1]]
-        # Label 8 need not be used; fixed labels turn the pin off.
+        # Label 8 need not be used: one run, nothing pinned.
         runs.clear()
         assert find_ar_labeling(g, 8, FAST).labeling is not None
-        find_ar_labeling(g, 8, FAST, fixed={1: 8}, _require_label_k=True)
-        assert runs == [{}, {1: 8}]
+        assert runs == [None]
 
     @pytest.mark.parametrize("name", ["corpus", "bench files", "K_6@15"])
     def test_public_verdict_matches_unpinned_kernel(self, name):
@@ -565,25 +543,28 @@ class TestTwinOrder:
         assert cut_anything or name == "corpus"
 
     def test_swaps_moving_a_fixed_edge_are_not_used(self, monkeypatch):
-        # Ordering a swap that moves a fixed edge would refute the stars: in
-        # K_{1,2} the free edge 0 would need a label below the fixed 1 on
-        # edge 1, and in K_{1,3} the fixed 4 on edge 0 would need to lie
-        # below the labels of edges 1 and 2.  In K_4 minus the edge 13, the
-        # swap of 1 and 3 moves the fixed edge 01 and the free edges 12 and
-        # 23; ordering those two alone would skip the first witness.  Each
-        # case keeps the witness the kernel finds without twins.
+        # Ordering a swap that moves the pinned edge would refute the stars:
+        # in K_{1,2} with 2 on edge 0, edge 1 would need a label above 2, and
+        # in K_{1,3} with 4 on edge 0, so would edge 1.  In K_4 minus the
+        # edge 13 with 5 on edge 03, the swap of 0 and 2 moves 03 and the
+        # free edges 01 and 12; ordering those two alone would skip the
+        # first witness.  Each case keeps the witness the kernel finds
+        # without twins.
         k4_minus_e = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
         cases = [
-            (star(2), 2, {1: 1}, (2, 1)),
-            (star(3), 4, {0: 4}, (4, 1, 2)),
-            (k4_minus_e, 5, {0: 1}, (1, 2, 5, 3, 4)),
+            (star(2), 2, 0, [2, 1]),
+            (star(3), 4, 0, [4, 1, 2]),
+            (k4_minus_e, 5, 2, [3, 1, 5, 2, 4]),
         ]
-        for g, k, fixed, labels in cases:
-            out = find_ar_labeling(g, k, FAST, fixed=fixed)
-            assert out.labeling is not None and out.labeling.labels == labels, g.name
+
+        def first_labeling(g, k, pin):
+            return solver._search(g, k, pin, SearchStats(), math.inf)
+
+        for g, k, pin, labels in cases:
+            assert first_labeling(g, k, pin) == labels, g.name
         monkeypatch.setattr(orbits, "twin_pairs", lambda g: [])
-        for g, k, fixed, labels in cases:
-            assert find_ar_labeling(g, k, FAST, fixed=fixed).labeling.labels == labels
+        for g, k, pin, labels in cases:
+            assert first_labeling(g, k, pin) == labels, g.name
 
 
 class TestDisjointCover:
@@ -750,8 +731,7 @@ class TestDisjointCover:
 
 class TestLabelWheel:
     def test_labelings_pinned(self):
-        # The Conway-Guy spokes, then the rim lowest label first: one search
-        # node per rim edge, no backtracking.
+        # The Conway-Guy spokes, then the rim edges 1..n-1 in index order.
         expected = {
             6: (6, 9, 11, 12, 13, 1, 2, 3, 4, 5),
             7: (11, 17, 20, 22, 23, 24, 1, 2, 3, 4, 5, 6),
@@ -760,20 +740,36 @@ class TestLabelWheel:
             10: (77, 117, 137, 148, 154, 157, 159, 160, 161, 1, 2, 3, 4, 5, 6, 7, 8, 9),
         }
         for n, labels in expected.items():
-            g = wheel(n)
-            labeling = label_wheel(n, FAST)
+            labeling = label_wheel(n)
             assert labeling.labels == labels
-            assert is_ar_labeling(g, labeling).ok
+            assert is_ar_labeling(wheel(n), labeling).ok
             assert max(labels) == KNOWN_ES[n - 1]
-            spokes = conway_guy_set(n - 1)
-            assert labels[: n - 1] == spokes.elements
-            fixed = dict(zip(g.incident_edges(0), spokes))
-            out = find_ar_labeling(g, KNOWN_ES[n - 1], FAST, fixed=fixed)
-            assert out.labeling == labeling
-            assert out.stats.nodes == n - 1
+            assert labels[: n - 1] == conway_guy_set(n - 1).elements
+
+    def test_labelings_pass_a_naive_check(self):
+        # Distinct labels, every vertex's labels DSS by plain subset-sum
+        # enumeration, and the maximum at ES(n-1): the package check is not
+        # consulted.
+        for n in range(6, 11):
+            g = wheel(n)
+            labels = label_wheel(n).labels
+            assert len(set(labels)) == len(labels) == g.edge_count()
+            for v in range(g.vertex_count):
+                assert naive_is_dss([labels[e] for e in g.incident_edges(v)]), (n, v)
+            assert max(labels) == KNOWN_ES[n - 1]
+
+    def test_built_without_search_or_clock(self, monkeypatch, slow_clock):
+        # A construction, not a search: no kernel run, no budget to read.
+        def no_search(*args):
+            raise AssertionError("label_wheel ran the edge kernel")
+
+        monkeypatch.setattr(solver, "_search", no_search)
+        for n in range(6, 11):
+            label_wheel(n)
+        assert time.monotonic() == 1.0
 
     def test_spokes_carry_a_dss_set(self):
-        labeling = label_wheel(9, FAST)
+        labeling = label_wheel(9)
         g = wheel(9)
         hub_labels = [labeling.labels[e] for e in g.incident_edges(0)]
         assert is_dss(hub_labels)
@@ -781,21 +777,23 @@ class TestLabelWheel:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            label_wheel(5, FAST)
+            label_wheel(5)
 
     def test_unsupported_size_beyond_known_range(self, slow_clock):
         # Beyond W_10 the Conway-Guy spokes are not known to reach ES(n-1):
         # rejected at once, before any clock read.
         for n in (11, 12, 40):
             with pytest.raises(ValueError, match="6 <= n <= 10"):
-                label_wheel(n, SearchConfig(budget_s=0.05))
+                label_wheel(n)
         assert time.monotonic() == 1.0
 
 
 class TestSearchConfig:
     def test_rejects_non_positive_budget(self):
-        with pytest.raises(ValueError):
-            SearchConfig(budget_s=0)
+        # NaN compares false with everything, so it must not pass as positive.
+        for budget in (0, -1, float("nan")):
+            with pytest.raises(ValueError):
+                SearchConfig(budget_s=budget)
 
     def test_stats_populated(self):
         out = find_ar_labeling(complete(4), 6, FAST)
