@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,19 +37,21 @@ _UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0}
 
 
 def parse_duration(text: str) -> float:
-    """Accept plain seconds or a number suffixed with s, m or h."""
+    """Accept plain seconds or a number suffixed with s, m or h, positive
+    and finite once in seconds."""
     text = text.strip()
     unit = 1.0
     if text and text[-1] in _UNITS:
         unit = _UNITS[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
+        value = float(text) * unit
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("duration must be positive")
-    return value * unit
+    # NaN fails both tests; "inf", "1e400" and "1e308h" would never expire.
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("duration must be positive and finite")
+    return value
 
 
 _FAMILIES = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import comb, isqrt
+from math import comb, inf, isqrt
 
 from .dss import DssSet, difference_mask, is_dss
 from .errors import SearchTimeout
@@ -266,8 +266,8 @@ def es(n: int, budget_s: float = 60.0) -> EsRecord:
     run of candidates that take few nodes each still stops on time.
     """
     _check_n(n)
-    if not budget_s > 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget_s < inf:
+        raise ValueError("budget must be positive and finite")
     deadline = time.monotonic() + budget_s
     hi = conway_guy_u(n)
     nodes = 0

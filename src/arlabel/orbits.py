@@ -1,159 +1,18 @@
-"""Edge orbits of a graph's automorphism group, from the graph alone.
+"""Twin swaps of a graph and the edge orbits of the group they generate,
+from the graph alone.
 
-Colour refinement plus individualisation (McKay & Piperno, "Practical graph
-isomorphism, II", 2014).  Refinement splits vertex colour classes by their
-neighbours' colours until no class splits; every automorphism maps each
-class onto itself.  Two edges share an orbit only once a vertex permutation
-that maps one onto the other has been found and checked edge by edge, so an
-orbit is never larger than the true one.  The search for that permutation
-is exhaustive, so it is never smaller either.
+Vertices u and v are twins when N(u) - {v} == N(v) - {u} and they share a
+neighbour; the swap of u and v is then an automorphism.  The twin swaps
+generate a subgroup of Aut(g), so each of its edge orbits lies inside one
+orbit of Aut(g), and two edges share an orbit only if an automorphism maps
+one onto the other.  On stars, complete graphs, complete bipartite graphs
+and K_{1,1,1,3} the two partitions are the same; on a graph with no twins,
+such as W_n for n >= 6, every edge is its own orbit.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Callable
-
-from .errors import SearchTimeout
 from .graphs import Edge, Graph
-
-
-def _refine(
-    adj: list[list[int]], colours: list[int]
-) -> tuple[list[int], tuple[tuple, ...]]:
-    """The coarsest equitable refinement of a vertex colouring, and its trace.
-
-    Each round gives a vertex the signature (its colour, its neighbours'
-    colours sorted) and renames the signatures by rank, until a round
-    splits no class.  The trace lists each round's signatures, sorted.  A
-    permutation that maps one colouring onto another maps their
-    refinements onto each other, with equal traces.  Two colourings with
-    equal traces name their classes alike, so only a vertex of colour c
-    can be the image of a vertex of colour c.
-    """
-    classes = len(set(colours))
-    trace = []
-    while True:
-        sigs = [(c, tuple(sorted(colours[w] for w in nbrs))) for c, nbrs in zip(colours, adj)]
-        ranks = sorted(set(sigs))
-        trace.append(tuple(sorted(sigs)))
-        name = {sig: i for i, sig in enumerate(ranks)}
-        colours = [name[sig] for sig in sigs]
-        if len(ranks) == classes:
-            return colours, tuple(trace)
-        classes = len(ranks)
-
-
-def _automorphism(
-    adj: list[list[int]],
-    edges: set[Edge],
-    left: list[int],
-    right: list[int],
-    tick: Callable[[], None],
-) -> list[int] | None:
-    """An automorphism that maps every vertex of colour c in ``left`` to a
-    vertex of colour c in ``right``, or None when there is none.
-
-    Refines both colourings, then tries the permutation that pairs the
-    vertices of each colour in index order: on a discrete colouring it is
-    the only candidate, and on a symmetric graph it often works before.
-    Otherwise it individualises the first vertex of the smallest colour
-    class that is not a singleton against each vertex of that class on the
-    right in turn.  A permutation is returned only if it maps every edge to
-    an edge.  Each call first calls ``tick``, which watches the clock.
-    """
-    tick()
-    left, trace = _refine(adj, left)
-    right, other = _refine(adj, right)
-    if trace != other:
-        return None
-    members: dict[int, list[int]] = {}
-    for w, c in enumerate(right):
-        members.setdefault(c, []).append(w)
-    pick = {c: iter(ws) for c, ws in members.items()}
-    perm = [next(pick[c]) for c in left]
-    if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges):
-        return perm
-    cls = min((c for c, ws in members.items() if len(ws) > 1), default=None)
-    if cls is None:
-        return None
-    fresh = len(left)
-    v = left.index(cls)
-    pinned = left[:v] + [fresh] + left[v + 1 :]
-    for w in members[cls]:
-        perm = _automorphism(adj, edges, pinned, right[:w] + [fresh] + right[w + 1 :], tick)
-        if perm is not None:
-            return perm
-    return None
-
-
-def edge_orbits(g: Graph, deadline: float = math.inf) -> tuple[int, ...]:
-    """Per edge of g, the smallest edge index in its orbit under Aut(g).
-
-    Edges are taken in index order.  An edge not yet in an earlier edge's
-    orbit is compared with each earlier orbit's first edge whose refinement
-    trace, with both endpoints given a fresh colour, is the same as its own
-    (an automorphism keeps that trace).  The first automorphism found that
-    maps that edge onto it merges, for every edge, the orbits of the edge
-    and its image.
-
-    Raises SearchTimeout once ``deadline``, a ``time.monotonic()`` reading,
-    has passed.  The clock is read at every 16th automorphism search, which
-    takes well under a millisecond with at most 40 edges.  A finished result
-    is kept on g and returned by later calls; a search stopped by the
-    deadline keeps nothing.
-    """
-    known = g.__dict__.get("_edge_orbits")
-    if known is not None:
-        return known
-    n = g.vertex_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    edges = set(g.edges)
-    index = {e: i for i, e in enumerate(g.edges)}
-    base, _ = _refine(adj, [0] * n)
-    traces = []
-    for u, v in g.edges:
-        c = base.copy()
-        c[u] = c[v] = n
-        traces.append(_refine(adj, c)[1])
-    searches = 0
-
-    def tick() -> None:
-        nonlocal searches
-        searches += 1
-        if searches & 15 == 0 and time.monotonic() > deadline:
-            raise SearchTimeout
-
-    orbit = list(range(len(g.edges)))
-    for f, (x, y) in enumerate(g.edges):
-        if orbit[f] != f:
-            continue
-        for e in range(f):
-            if orbit[e] != e or traces[e] != traces[f]:
-                continue
-            u, v = g.edges[e]
-            left = base.copy()
-            left[u], left[v] = n, n + 1
-            right = base.copy()
-            right[x], right[y] = n, n + 1
-            perm = _automorphism(adj, edges, left, right, tick)
-            if perm is None:
-                right[x], right[y] = n + 1, n
-                perm = _automorphism(adj, edges, left, right, tick)
-            if perm is None:
-                continue
-            for i, (a, b) in enumerate(g.edges):
-                j = index[tuple(sorted((perm[a], perm[b])))]
-                lo, hi = sorted((orbit[i], orbit[j]))
-                if lo != hi:
-                    orbit = [lo if o == hi else o for o in orbit]
-            break
-    known = g.__dict__["_edge_orbits"] = tuple(orbit)
-    return known
 
 
 def twin_pairs(g: Graph) -> list[Edge]:
@@ -179,3 +38,42 @@ def twin_pairs(g: Graph) -> list[Edge]:
             pairs += [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
     return sorted(pairs)
 
+
+def twin_swaps(g: Graph) -> list[list[tuple[int, int]]]:
+    """Per pair (u, v) of ``twin_pairs(g)``, in that order, the edge pairs
+    (e, f) its swap exchanges: e = (u, w) and f = (v, w) for each common
+    neighbour w, in the order of u's incident edges."""
+    edge_at = {}
+    for e, (a, b) in enumerate(g.edges):
+        edge_at[a, b] = edge_at[b, a] = e
+    swaps = []
+    for u, v in twin_pairs(g):
+        moved = []
+        for e in g.incidence[u]:
+            a, b = g.edges[e]
+            w = b if a == u else a
+            if w != v:
+                moved.append((e, edge_at[v, w]))
+        swaps.append(moved)
+    return swaps
+
+
+def edge_orbits(g: Graph) -> tuple[int, ...]:
+    """Per edge of g, the smallest edge index in its orbit under the group
+    the twin swaps generate (module docstring).
+
+    An orbit is a class of the union-find over the edge pairs each swap
+    exchanges; every class is named by its smallest edge.
+    """
+    parent = list(range(g.edge_count()))
+
+    def root(e: int) -> int:
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for moved in twin_swaps(g):
+        for e, f in moved:
+            a, b = sorted((root(e), root(f)))
+            parent[b] = a
+    return tuple(map(root, range(len(parent))))

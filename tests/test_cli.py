@@ -33,7 +33,9 @@ class TestDurations:
             parse_duration("fast")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_duration("-3s")
-        for text in ("nan", "nans"):
+        # NaN, and durations that never expire, by themselves or once
+        # multiplied by their unit.
+        for text in ("nan", "nans", "inf", "infs", "1e400", "1e308h"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_duration(text)
 

@@ -193,8 +193,9 @@ class TestEsSearch:
         assert rec.stopped_by == STOPPED_BY_BUDGET
 
     def test_rejects_bad_budget(self):
-        # A NaN budget would never expire: no clock reading exceeds it.
-        for budget in (0, float("nan")):
+        # A NaN or infinite budget would never expire: no clock reading
+        # exceeds it.
+        for budget in (0, float("nan"), math.inf, float("1e400")):
             with pytest.raises(ValueError):
                 es(3, budget_s=budget)
 

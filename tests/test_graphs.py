@@ -23,7 +23,7 @@ from arlabel.graphs import (
     wheel,
 )
 from arlabel.orbits import edge_orbits
-from conftest import bench_file_graphs, relabeled, small_family_graphs
+from conftest import bench_file_graphs, naive_twins, relabeled, small_family_graphs
 
 
 class TestFamilies:
@@ -101,48 +101,79 @@ def _orbit_partition(g: Graph) -> set[frozenset[int]]:
     return {frozenset(c) for c in classes.values()}
 
 
-def _brute_force_orbits(g: Graph) -> set[frozenset[int]]:
-    """Edge orbits from every vertex permutation that maps edges to edges."""
-    edges = set(g.edges)
+def _edge_classes(g: Graph, group) -> set[frozenset[int]]:
+    """The edge orbits of ``group``, a group of vertex permutations of g."""
     index = {e: i for i, e in enumerate(g.edges)}
-    orbit = {i: {i} for i in range(len(g.edges))}
-    for perm in permutations(range(g.vertex_count)):
-        image = [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges]
-        if set(image) != edges:
-            continue
-        for i, e in enumerate(image):
-            merged = orbit[i] | orbit[index[e]]
-            for j in merged:
-                orbit[j] = merged
-    return {frozenset(c) for c in orbit.values()}
+    return {
+        frozenset(index[tuple(sorted((perm[u], perm[v])))] for perm in group)
+        for u, v in g.edges
+    }
+
+
+def _brute_force_orbits(g: Graph) -> set[frozenset[int]]:
+    """Edge orbits of Aut(g): every vertex permutation that maps edges to
+    edges."""
+    edges = set(g.edges)
+    automorphisms = [
+        perm for perm in permutations(range(g.vertex_count))
+        if {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges} == edges
+    ]
+    return _edge_classes(g, automorphisms)
+
+
+def _twin_group_orbits(g: Graph) -> set[frozenset[int]]:
+    """Edge orbits of the group the naive twin swaps generate: every
+    product of swaps, closed by breadth-first search."""
+    n = g.vertex_count
+    swaps = []
+    for u, v in naive_twins(g):
+        perm = list(range(n))
+        perm[u], perm[v] = v, u
+        swaps.append(perm)
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        perm = frontier.pop()
+        for swap in swaps:
+            product = tuple(swap[w] for w in perm)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return _edge_classes(g, group)
 
 
 class TestEdgeOrbits:
     def test_orbit_counts(self):
+        # Orbits of the group the twin swaps generate.  B_{a,b} keeps its
+        # centres apart, as W_5 keeps apart its two pairs of opposite
+        # spokes; W_n (n >= 6), paths from four vertices and cycles from
+        # five have no twins; K_{2,2,3} has one orbit per pair of parts.
         cases = [(complete(n), 1) for n in range(2, 8)]
         cases += [(complete_bipartite(a, b), 1) for a in range(1, 5) for b in range(a, 6)]
-        cases += [(wheel(4), 1)]  # W_4 is K_4
-        cases += [(wheel(n), 2) for n in range(5, 11)]  # spokes, rim
-        cases += [(bistar(a, a), 2) for a in range(1, 6)]  # center edge, pendants
-        cases += [(bistar(a, b), 3) for a in range(1, 5) for b in range(a + 1, 6)]
-        cases += [(path(n), n // 2) for n in range(2, 10)]  # e and its mirror
-        cases += [(cycle(n), 1) for n in range(3, 9)]
-        cases += [(complete_multipartite([1, 1, 1, 3]), 2), (complete_multipartite([2, 2, 3]), 2)]
-        cases += [(complete_multipartite([3, 3, 3]), 1)]
+        cases += [(wheel(4), 1), (wheel(5), 3)]  # W_4 is K_4
+        cases += [(wheel(n), 2 * (n - 1)) for n in range(6, 11)]
+        cases += [(bistar(a, b), 3) for a in range(1, 5) for b in range(a, 6)]
+        cases += [(path(2), 1), (path(3), 1)]
+        cases += [(path(n), n - 1) for n in range(4, 10)]
+        cases += [(cycle(3), 1), (cycle(4), 1)]
+        cases += [(cycle(n), n) for n in range(5, 9)]
+        cases += [(complete_multipartite([1, 1, 1, 3]), 2), (complete_multipartite([2, 2, 3]), 3)]
+        cases += [(complete_multipartite([3, 3, 3]), 3)]
         for g, count in cases:
             assert len(set(edge_orbits(g))) == count, g.name
 
     def test_orbit_ids_are_each_orbits_first_edge(self):
-        for g in (bistar(2, 3), wheel(6), path(6), complete_multipartite([2, 2, 3])):
+        for g in (bistar(2, 3), wheel(5), cycle(4), complete_multipartite([2, 2, 3])):
             orbits = edge_orbits(g)
             assert all(o <= e and orbits[o] == o for e, o in enumerate(orbits))
 
     def test_matches_brute_force_on_small_graphs(self):
-        # Every corpus graph on at most 7 vertices, plus regular graphs, on
-        # which colour refinement leaves every vertex one colour, with one
-        # orbit (two triangles) or two (the triangular prism: triangle
-        # edges and rungs; a triangle beside a square), and a few without
-        # regularity or connectivity.
+        # Every corpus graph on at most 7 vertices, plus regular graphs with
+        # one Aut orbit (two triangles) or two (the triangular prism:
+        # triangle edges and rungs; a triangle beside a square), and a few
+        # without regularity or connectivity.  Each twin orbit lies inside
+        # one Aut orbit, and the twin orbits are those of the group the
+        # naive twins generate.
         graphs = [g for g in small_family_graphs() if g.vertex_count <= 7]
         graphs += [
             Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
@@ -151,10 +182,25 @@ class TestEdgeOrbits:
             Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6))),
             Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3))),
             Graph(5, ((0, 1), (2, 3))),
+            bistar(2, 2),
+            wheel(5),
+            complete_multipartite([2, 2, 3]),
         ]
-        assert [len(_brute_force_orbits(g)) for g in graphs[-6:-3]] == [1, 2, 2]
+        assert [len(_brute_force_orbits(g)) for g in graphs[-9:-6]] == [1, 2, 2]
         for g in graphs:
-            assert _orbit_partition(g) == _brute_force_orbits(g), (g.name, g.edges)
+            aut = _brute_force_orbits(g)
+            twin = _orbit_partition(g)
+            assert all(any(orbit <= big for big in aut) for orbit in twin), (g.name, g.edges)
+            assert twin == _twin_group_orbits(g), (g.name, g.edges)
+
+    def test_equals_aut_orbits_where_twins_generate_aut(self):
+        # Twin swaps generate every permutation the orbits need on these.
+        graphs = [complete(n) for n in range(2, 7)]
+        graphs += [complete_bipartite(a, b) for a in range(1, 4) for b in range(a, 7 - a)]
+        graphs += [star(n) for n in range(1, 7)]
+        graphs += [complete_multipartite([1, 1, 1, 3])]
+        for g in graphs:
+            assert _orbit_partition(g) == _brute_force_orbits(g), g.name
 
     def test_relabeled_copies_keep_the_partition(self):
         rng = random.Random(7)
